@@ -43,12 +43,20 @@ def _method_arg(text: str):
 def _threshold_arg(lo: float, hi: float | None):
     def convert(text: str) -> float:
         value = float(text)
-        if value < lo or (hi is not None and value > hi):
+        # written so that NaN, which fails every comparison, is rejected too
+        if not value >= lo or (hi is not None and not value <= hi):
             bound = f"{lo}..{hi}" if hi is not None else f">= {lo}"
             raise argparse.ArgumentTypeError(f"threshold must be {bound}")
         return value
 
     return convert
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _add_dict_args(p: argparse.ArgumentParser) -> None:
@@ -71,21 +79,21 @@ def _add_dict_args(p: argparse.ArgumentParser) -> None:
 
 def _load_dicts(args):
     normalize = not args.no_normalize
-    with open(args.dict_ab, encoding="utf-8") as f:
+    with open(args.dict_ab, encoding="utf-8-sig") as f:
         dict_ab = parse_dictionary(f, args.lang_a, args.lang_b, normalize)
     if args.invert_cb:
-        with open(args.dict_cb, encoding="utf-8") as f:
+        with open(args.dict_cb, encoding="utf-8-sig") as f:
             dict_cb = invert_dictionary(
                 parse_dictionary(f, args.lang_b, args.lang_c, normalize)
             )
     else:
-        with open(args.dict_cb, encoding="utf-8") as f:
+        with open(args.dict_cb, encoding="utf-8-sig") as f:
             dict_cb = parse_dictionary(f, args.lang_c, args.lang_b, normalize)
     return dict_ab, dict_cb
 
 
 def _load_gold(args):
-    with open(args.gold, encoding="utf-8") as f:
+    with open(args.gold, encoding="utf-8-sig") as f:
         return parse_gold_standard(f, args.lang_a, args.lang_c, not args.no_normalize)
 
 
@@ -126,9 +134,9 @@ def _cmd_baseline(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    with open(args.result, encoding="utf-8") as f:
+    with open(args.result, encoding="utf-8-sig") as f:
         result = parse_pair_file(f, args.lang_a, args.lang_c, not args.no_normalize)
-    with open(args.gold, encoding="utf-8") as f:
+    with open(args.gold, encoding="utf-8-sig") as f:
         gold = parse_gold_standard(f, args.lang_a, args.lang_c, not args.no_normalize)
     metrics = evaluation.score(result, gold, args.beta)
     sys.stdout.write(evaluation.metrics_tsv(metrics))
@@ -264,8 +272,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--cognate-threshold", type=_threshold_arg(0.0, None), default=None)
     p.add_argument("--synonym-threshold", type=_threshold_arg(0.0, 1.0), default=None)
-    p.add_argument("--max-edges", type=int, default=DEFAULT_MAX_EDGES)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--max-edges", type=_positive_int, default=DEFAULT_MAX_EDGES)
+    p.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--report", help="write per-transgraph diagnostics here")
     p.set_defaults(func=_cmd_induce)
@@ -275,7 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_dict_args(p)
     p.add_argument("--scope", choices=["within", "across"], default="within")
     p.add_argument("--delta", type=int, default=baselines.DEFAULT_IC_DELTA)
-    p.add_argument("--max-edges", type=int, default=DEFAULT_MAX_EDGES)
+    p.add_argument("--max-edges", type=_positive_int, default=DEFAULT_MAX_EDGES)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_baseline)
 
@@ -293,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gold", required=True)
     p.add_argument("--method", required=True, type=_method_arg)
     p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--max-edges", type=int, default=DEFAULT_MAX_EDGES)
+    p.add_argument("--max-edges", type=_positive_int, default=DEFAULT_MAX_EDGES)
     p.add_argument("--exact", action="store_true", help="re-run per grid point")
     p.set_defaults(func=_cmd_grid_search)
 
@@ -303,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, type=_method_arg)
     p.add_argument("--folds", type=int, default=3)
     p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--max-edges", type=int, default=DEFAULT_MAX_EDGES)
+    p.add_argument("--max-edges", type=_positive_int, default=DEFAULT_MAX_EDGES)
     p.add_argument("--exact", action="store_true")
     p.set_defaults(func=_cmd_cv)
 
@@ -319,7 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="per-transgraph size report")
     _add_dict_args(p)
-    p.add_argument("--max-edges", type=int, default=DEFAULT_MAX_EDGES)
+    p.add_argument("--max-edges", type=_positive_int, default=DEFAULT_MAX_EDGES)
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("export-wcnf", help="dump cognate-stage formulas as WCNF")
@@ -327,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, type=_method_arg)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--transgraph-id", type=int, default=None)
-    p.add_argument("--max-edges", type=int, default=DEFAULT_MAX_EDGES)
+    p.add_argument("--max-edges", type=_positive_int, default=DEFAULT_MAX_EDGES)
     p.set_defaults(func=_cmd_export_wcnf)
 
     return parser

@@ -56,10 +56,15 @@ def hard_clause(literals: Iterable[int]) -> Clause:
 
 def soft_clause(literals: Iterable[int], weight: float) -> Clause:
     """Soft clause; weight is floored at one micro-unit to stay positive."""
+    micro = micro_units(weight)
+    return Clause(tuple(literals), weight=micro / MICRO, micro=micro)
+
+
+def micro_units(weight: float) -> int:
+    """A soft weight in integer micro-units, floored at one."""
     if weight < 0:
         raise ValueError("soft weight must be non-negative")
-    micro = max(1, round(weight * MICRO))
-    return Clause(tuple(literals), weight=micro / MICRO, micro=micro)
+    return max(1, round(weight * MICRO))
 
 
 class VarRegistry:
@@ -145,6 +150,11 @@ def _edge_weights(cands: Sequence) -> dict[EdgeKey, float]:
             if key not in weights or w < weights[key]:
                 weights[key] = w
     return weights
+
+
+def edge_micro_weights(cands: Sequence) -> dict[EdgeKey, int]:
+    """The soft weight, in micro-units, that the stage formula gives each edge."""
+    return {key: micro_units(w) for key, w in _edge_weights(cands).items()}
 
 
 def _per_edge_cost(cand) -> float:
@@ -237,13 +247,6 @@ def encode_cognate_cnf(
     return cnf
 
 
-def encode_many_to_many_cnf(
-    tg: Transgraph, candidates: Sequence[PairCandidate], sets: PipelineSets
-) -> CnfFormula:
-    """Same as the cognate formula but without the uniqueness clauses."""
-    return encode_cognate_cnf(tg, candidates, sets, uniqueness=False)
-
-
 def encode_synonym_cnf(
     tg: Transgraph,
     sets: PipelineSets,
@@ -262,14 +265,7 @@ def encode_synonym_cnf(
         reg.intern(cognate_desc(cand.pair))
     for cand in sorted(syn_candidates, key=lambda c: c.pair):
         reg.intern(synonym_desc(cand.pair))
-    # the first stage's leftover hypotheses are dead here; this stage's new
-    # edges are the links the synonym words still lack
-    new_edges = {
-        key
-        for cand in syn_candidates
-        for key in cand.missing_edges
-        if key not in sets.existing_edges
-    }
+    new_edges = synonym_new_edges(sets, syn_candidates)
     sets.new_edges = new_edges
     _register_edges(reg, set(sets.existing_edges) | new_edges)
 
@@ -319,6 +315,21 @@ def encode_synonym_cnf(
     return cnf
 
 
+def synonym_new_edges(
+    sets: PipelineSets, syn_candidates: Sequence[SynonymCandidate]
+) -> set[EdgeKey]:
+    """The synonym stage's hypothesized edges: the links its synonym words lack.
+
+    The cognate stage's leftover hypotheses play no part in that stage.
+    """
+    return {
+        key
+        for cand in syn_candidates
+        for key in cand.missing_edges
+        if key not in sets.existing_edges
+    }
+
+
 def update_after_acceptance(
     cnf: CnfFormula, sets: PipelineSets, accepted: PairCandidate | SynonymCandidate
 ) -> None:
@@ -345,18 +356,35 @@ def update_after_acceptance(
         cnf.pool_index = None
     cnf.hard.append(hard_clause((var,)))
 
-    for key in sorted(accepted.missing_edges, key=edge_sort_key):
-        if key not in sets.new_edges:
-            continue  # already hardened through a previous acceptance
-        sets.new_edges.discard(key)
-        sets.existing_edges.add(key)
+    for key in commit_acceptance(sets, accepted):
         evar = cnf.registry.id_of(edge_desc(key))
         cnf.soft = [c for c in cnf.soft if c.literals != (-evar,)]
         cnf.hard.append(hard_clause((evar,)))
 
+
+def commit_acceptance(
+    sets: PipelineSets, accepted: PairCandidate | SynonymCandidate
+) -> list[EdgeKey]:
+    """Record one accepted decision in the set state.
+
+    Its hypothesized edges that are still new become existing; returns
+    those edges in edge order.
+    """
+    pair = accepted.pair
+    if pair in sets.results:
+        raise ValueError(f"pair {pair} already accepted")
+    hardened = [
+        key
+        for key in sorted(accepted.missing_edges, key=edge_sort_key)
+        if key in sets.new_edges  # not hardened by a previous acceptance
+    ]
+    for key in hardened:
+        sets.new_edges.discard(key)
+        sets.existing_edges.add(key)
     sets.results.add(pair)
-    if is_cognate:
+    if isinstance(accepted, PairCandidate):
         sets.accepted_cognates.append(accepted)
+    return hardened
 
 
 def export_wcnf(cnf: CnfFormula, sink: IO[str]) -> None:

@@ -8,8 +8,6 @@ import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
-from scipy.special import betainc
-
 from .lexicon import PairSet
 from .pipeline import (
     COGNATE,
@@ -207,6 +205,8 @@ def t_cdf(t: float, df: int) -> float:
         raise ValueError("df must be >= 1")
     if math.isinf(t):
         return 1.0 if t > 0 else 0.0
+    from scipy.special import betainc  # heavy; only the t-test needs it
+
     x = df / (df + t * t)
     tail = 0.5 * float(betainc(0.5 * df, 0.5, x))
     return 1.0 - tail if t >= 0 else tail

@@ -10,24 +10,32 @@ A run is configured by a method descriptor ``<cycle>:<method>:<heuristic>``:
              coexistence / missing-contribution / pivot-ambiguity /
              form-similarity (method M supports H1 only)
 
-Each stage repeatedly asks the solver for the cheapest fresh decision and
-accepts it while its incremental cost stays below the stage threshold
-(no threshold = accept everything reachable).
+Each stage repeatedly accepts the cheapest consistent fresh decision while
+its incremental cost stays below the stage threshold (no threshold =
+accept everything reachable). That decision is the optimum of the stage's
+weighted MaxSAT formula (encoding.encode_cognate_cnf / encode_synonym_cnf,
+solved by solver.solve), read off directly: every decision implies its own
+edges and every soft weight is at least one micro-unit, so the optimum
+turns on exactly one fresh decision, the one whose still-hypothesized
+edges weigh least, ties going to the decision with the highest variable
+id, i.e. the last pair. The formula and the solver remain the exact
+reference that the tests compare this selection with.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .encoding import (
-    CnfFormula,
+    MICRO,
     PipelineSets,
-    cognate_desc,
-    encode_cognate_cnf,
-    encode_synonym_cnf,
-    synonym_desc,
-    update_after_acceptance,
+    commit_acceptance,
+    edge_micro_weights,
+    synonym_new_edges,
 )
 from .heuristics import (
     HeuristicSelection,
@@ -39,10 +47,10 @@ from .heuristics import (
     generate_candidates,
 )
 from .lexicon import BilingualDictionary, PairSet, Word
-from .solver import solve
 from .transgraph import (
     SIDE_AB,
     SIDE_BC,
+    EdgeKey,
     Transgraph,
     TransgraphSet,
     add_new_edges,
@@ -92,7 +100,8 @@ class HyperParams:
     synonym_threshold: float | None = None
 
     def __post_init__(self):
-        if self.cognate_threshold is not None and self.cognate_threshold < 0:
+        # `not >=` also rejects NaN, which fails every comparison
+        if self.cognate_threshold is not None and not self.cognate_threshold >= 0:
             raise ValueError("cognate threshold must be >= 0")
         if self.synonym_threshold is not None and not 0 <= self.synonym_threshold <= 1:
             raise ValueError("synonym threshold must lie in [0, 1]")
@@ -183,38 +192,65 @@ def run_cycles(tg: Transgraph, descriptor: MethodDescriptor) -> CycleResult:
 
 
 def _run_stage(
-    cnf: CnfFormula,
+    candidates: Sequence[PairCandidate | SynonymCandidate],
     sets: PipelineSets,
-    pool: dict[int, PairCandidate | SynonymCandidate],
     threshold: float | None,
     stage: str,
     tg_id: int,
+    exclusive: bool,
 ) -> tuple[list[InducedPair], bool]:
-    """Accept solver optima until the pool, the budget or feasibility runs out.
+    """Accept the cheapest fresh decision until the pool, the budget or feasibility runs out.
 
-    The incremental cost of an acceptance is the optimum's soft cost: all
-    previously committed decisions have had their soft clauses hardened
-    away, so only the fresh decision's hypotheses are still priced.
+    A candidate costs the summed micro-weights of its hypothesized edges
+    that are still new; accepting one hardens them, which lowers the cost
+    of every candidate sharing them. With ``exclusive``, a candidate sharing
+    a word with an accepted one is blocked. The second value is True when
+    candidates remain but every one of them is blocked.
     """
+    ranked = sorted(candidates, key=lambda c: c.pair)
+    weight = edge_micro_weights(ranked)
+    wanting: dict[EdgeKey, list[int]] = {}
+    cost: list[int] = []
+    for i, cand in enumerate(ranked):
+        micro = 0
+        for key in cand.missing_edges:
+            if key in sets.new_edges:
+                micro += weight[key]
+                wanting.setdefault(key, []).append(i)
+        cost.append(micro)
+    # min-heap on (cost, -rank): ties go to the last pair; an entry whose
+    # cost is no longer current is stale and skipped
+    heap = [(micro, -i) for i, micro in enumerate(cost)]
+    heapq.heapify(heap)
+    done = [False] * len(ranked)  # accepted or blocked
+    used_a: set[Word] = set()
+    used_c: set[Word] = set()
     accepted: list[InducedPair] = []
-    while cnf.pool_index is not None:
-        outcome = solve(cnf)
-        if outcome is None:
-            return accepted, True
-        fresh = [v for v in pool if outcome.assignment[v]]
-        # the canonical optimum turns on exactly one fresh decision
-        var = min(fresh)
-        cand = pool[var]
-        cost = outcome.soft_cost
-        if threshold is not None and not cost < threshold:
-            break
-        del pool[var]
-        update_after_acceptance(cnf, sets, cand)
+    while heap:
+        micro, neg_rank = heapq.heappop(heap)
+        i = -neg_rank
+        if done[i] or micro != cost[i]:
+            continue
+        cand = ranked[i]
+        done[i] = True
+        if exclusive and (cand.word_a in used_a or cand.word_c in used_c):
+            continue
+        value = micro / MICRO
+        if threshold is not None and not value < threshold:
+            return accepted, False
+        for key in commit_acceptance(sets, cand):
+            for j in wanting[key]:
+                if not done[j]:
+                    cost[j] -= weight[key]
+                    heapq.heappush(heap, (cost[j], -j))
+        if exclusive:
+            used_a.add(cand.word_a)
+            used_c.add(cand.word_c)
         anchor = cand.anchor if isinstance(cand, SynonymCandidate) else None
         accepted.append(
-            InducedPair(cand.word_a, cand.word_c, stage, cost, tg_id, anchor)
+            InducedPair(cand.word_a, cand.word_c, stage, value, tg_id, anchor)
         )
-    return accepted, False
+    return accepted, len(accepted) < len(ranked)
 
 
 def run_cognate_stage(
@@ -230,10 +266,8 @@ def run_cognate_stage(
     )
     if not candidates:
         return StageOutcome([], sets, False)
-    cnf = encode_cognate_cnf(tg, candidates, sets, uniqueness=one_to_one)
-    pool = {cnf.registry.id_of(cognate_desc(c.pair)): c for c in candidates}
     accepted, unsat = _run_stage(
-        cnf, sets, pool, hp.cognate_threshold, COGNATE, tg.id
+        candidates, sets, hp.cognate_threshold, COGNATE, tg.id, one_to_one
     )
     sets.rejected_candidates = [c for c in candidates if c.pair not in sets.results]
     for cand in sets.accepted_cognates:
@@ -318,12 +352,11 @@ def _synonym_candidates(tg: Transgraph, sets: PipelineSets) -> list[SynonymCandi
 def run_synonym_stage(tg: Transgraph, sets: PipelineSets, hp: HyperParams) -> StageOutcome:
     """Extract synonym partners of the accepted cognates; empty stage is fine."""
     syn_cands = _synonym_candidates(tg, sets)
-    cnf = encode_synonym_cnf(tg, sets, syn_cands)
-    if cnf is None:
+    if not syn_cands:
         return StageOutcome([], sets, False)
-    pool = {cnf.registry.id_of(synonym_desc(c.pair)): c for c in syn_cands}
+    sets.new_edges = synonym_new_edges(sets, syn_cands)
     accepted, unsat = _run_stage(
-        cnf, sets, pool, hp.synonym_threshold, SYNONYM, tg.id
+        syn_cands, sets, hp.synonym_threshold, SYNONYM, tg.id, False
     )
     return StageOutcome(accepted, sets, unsat)
 
@@ -370,8 +403,11 @@ def induce_on_transgraphs(
     graphs = sorted(tset.graphs, key=lambda g: g.id)
     tasks = [(g, descriptor, hp) for g in graphs]
     if jobs > 1 and len(tasks) > 1:
+        # a few chunks per worker: a round trip to a worker per graph costs
+        # more than inducing a small graph
+        chunk = math.ceil(len(tasks) / (4 * jobs))
         with ProcessPoolExecutor(max_workers=jobs) as executor:
-            outputs = list(executor.map(_induce_one, tasks))
+            outputs = list(executor.map(_induce_one, tasks, chunksize=chunk))
     else:
         outputs = [_induce_one(t) for t in tasks]
     pairs: list[InducedPair] = []

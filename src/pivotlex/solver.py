@@ -10,10 +10,12 @@ lowest-id variable, so results are bit-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .encoding import MICRO, Clause, CnfFormula
+
+if TYPE_CHECKING:
+    import numpy as np
 
 BRUTE_FORCE_LIMIT = 25
 _CHUNK_BITS = 20
@@ -198,6 +200,8 @@ class _Search:
 
 def brute_force_solve(cnf: CnfFormula) -> SolveOutcome | None:
     """Exhaustive oracle with the same canonical tie-breaking as solve()."""
+    import numpy as np  # the oracle alone needs it; keep `import pivotlex` light
+
     n = _validate(cnf)
     if n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"{n} variables exceed the brute-force limit of {BRUTE_FORCE_LIMIT}")
@@ -234,6 +238,8 @@ def brute_force_solve(cnf: CnfFormula) -> SolveOutcome | None:
 
 
 def _clause_sat(codes: np.ndarray, literals: tuple[int, ...], n: int) -> np.ndarray:
+    import numpy as np
+
     sat = np.zeros(codes.shape, dtype=bool)
     for lit in literals:
         bit = (codes >> (n - abs(lit))) & 1

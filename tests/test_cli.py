@@ -1,7 +1,10 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
+import pivotlex
 from pivotlex.cli import main
 
 
@@ -102,6 +105,48 @@ class TestInduce:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_non_positive_jobs_is_usage_error(self, workdir, capsys, jobs):
+        out = workdir / "out.tsv"
+        code = main(
+            [
+                "induce", *dict_flags(workdir),
+                "--method", "1:C:H1",
+                "--jobs", jobs,
+                "-o", str(out),
+            ]
+        )
+        assert code == 1
+        assert "positive integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--cognate-threshold", "--synonym-threshold"])
+    def test_nan_threshold_is_usage_error(self, workdir, capsys, flag):
+        out = workdir / "out.tsv"
+        code = main(
+            [
+                "induce", *dict_flags(workdir),
+                "--method", "1:S:H14",
+                flag, "nan",
+                "-o", str(out),
+            ]
+        )
+        assert code == 1
+        assert "threshold must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_byte_order_mark_is_stripped_from_dictionaries(self, workdir):
+        (workdir / "ab.tsv").write_text("\ufeffa1\tb1\na1\tb2\na2\tb3\n", encoding="utf-8")
+        (workdir / "cb.tsv").write_text("\ufeffc1\tb1\nc1\tb2\nc2\tb3\nc3\tb3\n", encoding="utf-8")
+        out = workdir / "out.tsv"
+        code = main(
+            ["induce", *dict_flags(workdir), "--method", "1:C:H1", "-o", str(out)]
+        )
+        assert code == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert "a1\tc1\tcognate\t0.000000" in lines
+        assert "\ufeff" not in "".join(lines)
+
     def test_missing_file_is_data_error(self, workdir):
         code = main(
             [
@@ -149,6 +194,56 @@ class TestEval:
         assert code == 0
         text = capsys.readouterr().out
         assert "precision\t" in text and "f_score\t" in text
+
+
+    @pytest.mark.parametrize("marked", ["res.tsv", "gold.tsv"])
+    def test_byte_order_mark_is_not_part_of_a_word(self, workdir, capsys, marked):
+        (workdir / "res.tsv").write_text(
+            "a1\tc1\tcognate\t0.000000\na2\tc2\tcognate\t0.000000\n", encoding="utf-8"
+        )
+        path = workdir / marked
+        path.write_text("\ufeff" + path.read_text(encoding="utf-8"), encoding="utf-8")
+        code = main(
+            [
+                "eval",
+                "--result", str(workdir / "res.tsv"),
+                "--gold", str(workdir / "gold.tsv"),
+                "--lang-a", "aaa", "--lang-c", "ccc",
+            ]
+        )
+        assert code == 0
+        assert "precision\t1.000000\nrecall\t1.000000\n" in capsys.readouterr().out
+
+
+MAX_EDGES_COMMANDS = [
+    ["induce", "--method", "1:C:H1", "-o", "out.tsv"],
+    ["baseline", "cp", "-o", "cp.tsv"],
+    ["grid-search", "--gold", "gold.tsv", "--method", "1:C:H1"],
+    ["cv", "--gold", "gold.tsv", "--method", "1:C:H1"],
+    ["stats"],
+    ["export-wcnf", "--method", "1:C:H1", "--out-dir", "wcnf"],
+]
+
+
+@pytest.mark.parametrize("command", MAX_EDGES_COMMANDS, ids=lambda c: c[0])
+def test_non_positive_max_edges_is_usage_error(workdir, capsys, monkeypatch, command):
+    monkeypatch.chdir(workdir)
+    code = main([*command, *dict_flags(workdir), "--max-edges", "0"])
+    assert code == 1
+    assert "positive integer" in capsys.readouterr().err
+
+
+def test_import_leaves_numpy_and_scipy_unloaded():
+    code = (
+        "import sys, pivotlex, pivotlex.cli; "
+        "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))"
+    )
+    src = os.path.dirname(os.path.dirname(pivotlex.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestOtherCommands:

@@ -13,7 +13,6 @@ from pivotlex.encoding import (
     cognate_desc,
     edge_desc,
     encode_cognate_cnf,
-    encode_many_to_many_cnf,
     export_wcnf,
     hard_clause,
     parse_wcnf,
@@ -121,7 +120,7 @@ class TestCognateEncoding:
         cands, sets = prepared(g)
         one = encode_cognate_cnf(g, cands, sets)
         cands2, sets2 = prepared(g)
-        mm = encode_many_to_many_cnf(g, cands2, sets2)
+        mm = encode_cognate_cnf(g, cands2, sets2, uniqueness=False)
         assert mm.counts["uniqueness"] == 0
         assert len(one.hard) - len(mm.hard) == one.counts["uniqueness"]
         assert len(one.soft) == len(mm.soft)
@@ -206,7 +205,7 @@ class TestUpdateAfterAcceptance:
     def test_pool_shrinks_by_one(self):
         g = single_graph([("a1", "b1")], [("c1", "b1"), ("c2", "b1")])
         cands, sets = prepared(g)
-        cnf = encode_many_to_many_cnf(g, cands, sets)
+        cnf = encode_cognate_cnf(g, cands, sets, uniqueness=False)
         pool_before = cnf.hard[cnf.pool_index].literals
         update_after_acceptance(cnf, sets, cands[0])
         pool_after = cnf.hard[cnf.pool_index].literals
@@ -222,7 +221,7 @@ class TestUpdateAfterAcceptance:
     def test_double_accept_is_error(self):
         g = single_graph([("a1", "b1")], [("c1", "b1"), ("c2", "b1")])
         cands, sets = prepared(g)
-        cnf = encode_many_to_many_cnf(g, cands, sets)
+        cnf = encode_cognate_cnf(g, cands, sets, uniqueness=False)
         update_after_acceptance(cnf, sets, cands[0])
         with pytest.raises(ValueError):
             update_after_acceptance(cnf, sets, cands[0])

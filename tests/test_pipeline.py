@@ -64,6 +64,10 @@ class TestHyperParams:
             HyperParams(cognate_threshold=-0.1)
         with pytest.raises(ValueError):
             HyperParams(synonym_threshold=1.5)
+        with pytest.raises(ValueError):
+            HyperParams(cognate_threshold=float("nan"))
+        with pytest.raises(ValueError):
+            HyperParams(synonym_threshold=float("nan"))
         assert HyperParams().cognate_threshold is None
 
 

@@ -1,0 +1,165 @@
+"""The pipeline's direct selection against the solver-driven reference.
+
+The reference loop below builds each stage's weighted MaxSAT formula
+once, then asks the exact solver for the optimum, accepts its fresh
+decision and hardens the formula, until the pool, the threshold or
+feasibility runs out. The pipeline reads the same optimum off directly;
+both must agree on every pair, cost, anchor, report and final set state.
+"""
+
+import random
+
+import pytest
+
+from helpers import random_dictionaries
+from pivotlex.encoding import (
+    PipelineSets,
+    cognate_desc,
+    encode_cognate_cnf,
+    encode_synonym_cnf,
+    synonym_desc,
+    update_after_acceptance,
+)
+from pivotlex.heuristics import SynonymCandidate
+from pivotlex.pipeline import (
+    COGNATE,
+    SYNONYM,
+    HyperParams,
+    InducedPair,
+    TransgraphReport,
+    _induce_one,
+    _synonym_candidates,
+    parse_method,
+    run_cognate_stage,
+    run_cycles,
+    run_synonym_stage,
+)
+from pivotlex.solver import solve
+from pivotlex.transgraph import build_transgraphs
+
+DESCRIPTORS = {
+    "C": ["1:C:H1", "2:C:H14", "3:C:H1234", "1:C:H4", "2:C:H23"],
+    "S": ["1:S:H14", "2:S:H14", "3:S:H1234", "1:S:H4", "2:S:H123"],
+    "M": ["1:M:H1", "2:M:H1", "3:M:H1"],
+}
+COGNATE_THRESHOLDS = [None, 0.0, 0.3, 0.6, 1.0, 5.0]
+SYNONYM_THRESHOLDS = [None, 0.0, 0.3, 0.5, 1.0]
+RUNS_PER_METHOD = 400
+
+
+def solver_stage(cnf, sets, pool, threshold, stage, tg_id):
+    """Accept solver optima until the pool, the budget or feasibility runs out."""
+    accepted = []
+    while cnf.pool_index is not None:
+        outcome = solve(cnf)
+        if outcome is None:
+            return accepted, True
+        # the canonical optimum turns on exactly one fresh decision
+        (var,) = [v for v in pool if outcome.assignment[v]]
+        cand = pool.pop(var)
+        cost = outcome.soft_cost
+        if threshold is not None and not cost < threshold:
+            break
+        update_after_acceptance(cnf, sets, cand)
+        anchor = cand.anchor if isinstance(cand, SynonymCandidate) else None
+        accepted.append(InducedPair(cand.word_a, cand.word_c, stage, cost, tg_id, anchor))
+    return accepted, False
+
+
+def reference_induce(tg, descriptor, hp):
+    """One transgraph through the solver-driven stages, like _induce_one."""
+    cyc = run_cycles(tg, descriptor)
+    sets = PipelineSets(
+        existing_edges={e.key for e in cyc.graph.edges},
+        new_edges={k for c in cyc.candidates for k in c.missing_edges},
+        candidates=list(cyc.candidates),
+    )
+    cognates, cog_unsat = [], False
+    if cyc.candidates:
+        cnf = encode_cognate_cnf(
+            cyc.graph, cyc.candidates, sets, uniqueness=descriptor.method != "M"
+        )
+        pool = {cnf.registry.id_of(cognate_desc(c.pair)): c for c in cyc.candidates}
+        cognates, cog_unsat = solver_stage(
+            cnf, sets, pool, hp.cognate_threshold, COGNATE, tg.id
+        )
+        sets.rejected_candidates = [
+            c for c in cyc.candidates if c.pair not in sets.results
+        ]
+        for cand in sets.accepted_cognates:
+            sets.anchor_pivots[cand.pair] = tuple(sorted(p.pivot for p in cand.paths))
+    cognate_sets = snapshot(sets)
+    synonyms, syn_unsat = [], False
+    if descriptor.method == "S":
+        syn_cands = _synonym_candidates(cyc.graph, sets)
+        cnf = encode_synonym_cnf(cyc.graph, sets, syn_cands)
+        if cnf is not None:
+            pool = {cnf.registry.id_of(synonym_desc(c.pair)): c for c in syn_cands}
+            synonyms, syn_unsat = solver_stage(
+                cnf, sets, pool, hp.synonym_threshold, SYNONYM, tg.id
+            )
+    report = TransgraphReport(
+        transgraph_id=tg.id,
+        cycles_run=cyc.cycles_run,
+        fixpoint=cyc.fixpoint,
+        candidates=len(cyc.candidates),
+        cognate_pairs=len(cognates),
+        synonym_pairs=len(synonyms),
+        cognate_unsat=cog_unsat,
+        synonym_unsat=syn_unsat,
+    )
+    return (tg.id, cognates + synonyms, report), cognate_sets, snapshot(sets)
+
+
+def snapshot(sets):
+    return (
+        frozenset(sets.existing_edges),
+        frozenset(sets.new_edges),
+        frozenset(sets.results),
+        [c.pair for c in sets.accepted_cognates],
+        [c.pair for c in sets.rejected_candidates],
+        dict(sets.anchor_pivots),
+    )
+
+
+def direct_sets(tg, descriptor, hp):
+    """The stage set states the pipeline's own stages end in."""
+    cyc = run_cycles(tg, descriptor)
+    st1 = run_cognate_stage(
+        cyc.graph, cyc.candidates, hp, one_to_one=descriptor.method != "M"
+    )
+    cognate_sets = snapshot(st1.sets)
+    if descriptor.method == "S":
+        run_synonym_stage(cyc.graph, st1.sets, hp)
+    return cognate_sets, snapshot(st1.sets)
+
+
+def fields(pairs):
+    return [(p.pair, p.stage, p.cost, p.anchor, p.transgraph_id) for p in pairs]
+
+
+@pytest.mark.parametrize("method", sorted(DESCRIPTORS))
+def test_direct_selection_matches_solver(method):
+    rng = random.Random(f"selection-{method}")
+    graphs = 0
+    for _ in range(RUNS_PER_METHOD):
+        n_a, n_b, n_c = (rng.randint(2, 5) for _ in range(3))
+        d_ab, d_cb = random_dictionaries(
+            rng, n_a, n_b, n_c, p_edge=rng.choice([0.3, 0.4, 0.55])
+        )
+        descriptor = parse_method(rng.choice(DESCRIPTORS[method]))
+        hp = HyperParams(
+            rng.choice(COGNATE_THRESHOLDS), rng.choice(SYNONYM_THRESHOLDS)
+        )
+        for tg in build_transgraphs(d_ab, d_cb).graphs:
+            tg_id, pairs, report = _induce_one((tg, descriptor, hp))
+            (ref_id, ref_pairs, ref_report), *ref_sets = reference_induce(
+                tg, descriptor, hp
+            )
+            context = f"{descriptor} {hp} transgraph {tg.id}"
+            assert tg_id == ref_id
+            assert fields(pairs) == fields(ref_pairs), context
+            assert report == ref_report, context
+            assert list(direct_sets(tg, descriptor, hp)) == ref_sets, context
+            graphs += 1
+    assert graphs >= RUNS_PER_METHOD
