@@ -8,6 +8,7 @@ polysemy, stats, export-wcnf. Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -25,10 +26,10 @@ from .lexicon import (
 from .pipeline import (
     DEFAULT_MAX_EDGES,
     HyperParams,
+    induce_on_transgraphs,
     parse_method,
     render_report,
     run_cycles,
-    run_pipeline,
 )
 from .transgraph import build_transgraphs, component_stats, filter_big
 
@@ -40,23 +41,22 @@ def _method_arg(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _threshold_arg(lo: float, hi: float | None):
-    def convert(text: str) -> float:
-        value = float(text)
-        # written so that NaN, which fails every comparison, is rejected too
-        if not value >= lo or (hi is not None and not value <= hi):
-            bound = f"{lo}..{hi}" if hi is not None else f">= {lo}"
-            raise argparse.ArgumentTypeError(f"threshold must be {bound}")
+def _checked(kind, ok, want: str):
+    """An argparse type: `kind(text)`, a usage error with `want` unless `ok` holds.
+
+    Write `ok` so that NaN, which fails every comparison, fails it too.
+    """
+    def convert(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{want}, got {text}")
         return value
 
     return convert
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+_POSITIVE_INT = _checked(int, lambda v: v >= 1, "must be a positive integer")
+_BETA = _checked(float, lambda v: 0 < v < math.inf, "beta must be positive and finite")
 
 
 def _add_dict_args(p: argparse.ArgumentParser) -> None:
@@ -75,6 +75,7 @@ def _add_dict_args(p: argparse.ArgumentParser) -> None:
         action="store_true",
         help="keep surfaces verbatim (no case folding or recomposition)",
     )
+    p.add_argument("--max-edges", type=_POSITIVE_INT, default=DEFAULT_MAX_EDGES)
 
 
 def _load_dicts(args):
@@ -98,8 +99,16 @@ def _load_gold(args):
 
 
 def _build_transgraphs(args):
-    dict_ab, dict_cb = _load_dicts(args)
-    return filter_big(build_transgraphs(dict_ab, dict_cb), args.max_edges)
+    """The transgraphs within --max-edges; says on stderr how many were skipped."""
+    tset = filter_big(build_transgraphs(*_load_dicts(args)), args.max_edges)
+    if tset.skipped:
+        largest = max(edges for _, edges in tset.skipped)
+        print(
+            f"warning: --max-edges {args.max_edges} skipped {len(tset.skipped)}"
+            f" transgraph(s), the largest with {largest} edges",
+            file=sys.stderr,
+        )
+    return tset
 
 
 def _out(path: str):
@@ -107,12 +116,9 @@ def _out(path: str):
 
 
 def _cmd_induce(args) -> int:
-    dict_ab, dict_cb = _load_dicts(args)
-    descriptor = args.method
+    tset = _build_transgraphs(args)
     hp = HyperParams(args.cognate_threshold, args.synonym_threshold)
-    result = run_pipeline(
-        dict_ab, dict_cb, descriptor, hp, max_edges=args.max_edges, jobs=args.jobs
-    )
+    result = induce_on_transgraphs(tset, args.method, hp, jobs=args.jobs)
     with _out(args.output) as f:
         write_result_pairs(result.pairs, f)
     if args.report:
@@ -122,12 +128,10 @@ def _cmd_induce(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    dict_ab, dict_cb = _load_dicts(args)
     if args.baseline == "cp":
-        tset = filter_big(build_transgraphs(dict_ab, dict_cb), args.max_edges)
-        pairs = baselines.cartesian_product(tset, args.scope)
+        pairs = baselines.cartesian_product(_build_transgraphs(args), args.scope)
     else:
-        pairs = baselines.inverse_consultation(dict_ab, dict_cb, args.delta)
+        pairs = baselines.inverse_consultation(*_load_dicts(args), args.delta)
     with _out(args.output) as f:
         write_pair_set(pairs, f)
     return 0
@@ -146,8 +150,7 @@ def _cmd_eval(args) -> int:
 def _cmd_grid_search(args) -> int:
     tset = _build_transgraphs(args)
     gold = _load_gold(args)
-    descriptor = args.method
-    best = evaluation.grid_search(tset, descriptor, gold, args.beta, args.exact)
+    best = evaluation.grid_search(tset, args.method, gold, args.beta)
     st = "-" if best.synonym_threshold is None else f"{best.synonym_threshold:.2f}"
     sys.stdout.write(
         f"cognate_threshold\t{best.cognate_threshold:.2f}\n"
@@ -160,10 +163,7 @@ def _cmd_grid_search(args) -> int:
 def _cmd_cv(args) -> int:
     tset = _build_transgraphs(args)
     gold = _load_gold(args)
-    descriptor = args.method
-    report = evaluation.cross_validate(
-        tset, descriptor, gold, args.folds, args.beta, args.exact
-    )
+    report = evaluation.cross_validate(tset, args.method, gold, args.folds, args.beta)
     rows = [["fold", "test_ids", "cognate_t", "synonym_t", "precision", "recall", "f_score"]]
     for fold in report.folds:
         st = "-" if fold.grid.synonym_threshold is None else f"{fold.grid.synonym_threshold:.2f}"
@@ -197,7 +197,7 @@ def _cmd_ttest(args) -> int:
 
 def _read_numbers(path: str) -> list[float]:
     values = []
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -270,10 +270,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--method", required=True, type=_method_arg, help="descriptor like 2:S:H14"
     )
-    p.add_argument("--cognate-threshold", type=_threshold_arg(0.0, None), default=None)
-    p.add_argument("--synonym-threshold", type=_threshold_arg(0.0, 1.0), default=None)
-    p.add_argument("--max-edges", type=_positive_int, default=DEFAULT_MAX_EDGES)
-    p.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1)
+    p.add_argument(
+        "--cognate-threshold",
+        type=_checked(float, lambda v: v >= 0, "threshold must be >= 0.0"),
+    )
+    p.add_argument(
+        "--synonym-threshold",
+        type=_checked(float, lambda v: 0 <= v <= 1, "threshold must be 0.0..1.0"),
+    )
+    p.add_argument("--jobs", type=_POSITIVE_INT, default=os.cpu_count() or 1)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--report", help="write per-transgraph diagnostics here")
     p.set_defaults(func=_cmd_induce)
@@ -282,15 +287,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("baseline", choices=["cp", "ic"])
     _add_dict_args(p)
     p.add_argument("--scope", choices=["within", "across"], default="within")
-    p.add_argument("--delta", type=int, default=baselines.DEFAULT_IC_DELTA)
-    p.add_argument("--max-edges", type=_positive_int, default=DEFAULT_MAX_EDGES)
+    p.add_argument("--delta", type=_POSITIVE_INT, default=baselines.DEFAULT_IC_DELTA)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_baseline)
 
     p = sub.add_parser("eval", help="score a result file against a gold standard")
     p.add_argument("--result", required=True)
     p.add_argument("--gold", required=True)
-    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--beta", type=_BETA, default=1.0)
     p.add_argument("--lang-a", default="a")
     p.add_argument("--lang-c", default="c")
     p.add_argument("--no-normalize", action="store_true")
@@ -300,19 +304,16 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_dict_args(p)
     p.add_argument("--gold", required=True)
     p.add_argument("--method", required=True, type=_method_arg)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--max-edges", type=_positive_int, default=DEFAULT_MAX_EDGES)
-    p.add_argument("--exact", action="store_true", help="re-run per grid point")
+    p.add_argument("--beta", type=_BETA, default=1.0)
     p.set_defaults(func=_cmd_grid_search)
 
     p = sub.add_parser("cv", help="k-fold cross-validated threshold tuning")
     _add_dict_args(p)
     p.add_argument("--gold", required=True)
     p.add_argument("--method", required=True, type=_method_arg)
-    p.add_argument("--folds", type=int, default=3)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--max-edges", type=_positive_int, default=DEFAULT_MAX_EDGES)
-    p.add_argument("--exact", action="store_true")
+    folds = _checked(int, lambda v: v >= 2, "must be >= 2")
+    p.add_argument("--folds", type=folds, default=3)
+    p.add_argument("--beta", type=_BETA, default=1.0)
     p.set_defaults(func=_cmd_cv)
 
     p = sub.add_parser("ttest", help="one-tailed paired t-test on two value files")
@@ -321,13 +322,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_ttest)
 
     p = sub.add_parser("polysemy", help="pivot-polysemy precision model sweep")
-    p.add_argument("--n-max", type=int, default=10)
+    top = polysemy.MAX_SHARED_SENSES
+    n_max = _checked(int, lambda v: 1 <= v <= top, f"must be 1..{top}")
+    p.add_argument("--n-max", type=n_max, default=10)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_polysemy)
 
     p = sub.add_parser("stats", help="per-transgraph size report")
     _add_dict_args(p)
-    p.add_argument("--max-edges", type=_positive_int, default=DEFAULT_MAX_EDGES)
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("export-wcnf", help="dump cognate-stage formulas as WCNF")
@@ -335,7 +337,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, type=_method_arg)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--transgraph-id", type=int, default=None)
-    p.add_argument("--max-edges", type=_positive_int, default=DEFAULT_MAX_EDGES)
     p.set_defaults(func=_cmd_export_wcnf)
 
     return parser

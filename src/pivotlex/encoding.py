@@ -72,27 +72,18 @@ class VarRegistry:
 
     def __init__(self):
         self._ids: dict[tuple, int] = {}
-        self._descs: list[tuple | None] = [None]
 
     def intern(self, desc: tuple) -> int:
         vid = self._ids.get(desc)
         if vid is None:
-            vid = len(self._descs)
-            self._ids[desc] = vid
-            self._descs.append(desc)
+            vid = self._ids[desc] = len(self._ids) + 1
         return vid
 
     def id_of(self, desc: tuple) -> int:
         return self._ids[desc]
 
-    def desc_of(self, vid: int) -> tuple:
-        return self._descs[vid]
-
-    def __contains__(self, desc: tuple) -> bool:
-        return desc in self._ids
-
     def __len__(self) -> int:
-        return len(self._descs) - 1
+        return len(self._ids)
 
 
 def edge_desc(key: EdgeKey) -> tuple:
@@ -128,16 +119,13 @@ class CnfFormula:
 
 @dataclass
 class PipelineSets:
-    """Mutable bookkeeping shared by the extraction stages."""
+    """The set state an encoded stage formula is built over."""
 
     existing_edges: set[EdgeKey]
     new_edges: set[EdgeKey]
     candidates: list[PairCandidate]
     accepted_cognates: list[PairCandidate] = field(default_factory=list)
     rejected_candidates: list[PairCandidate] = field(default_factory=list)
-    anchor_pivots: dict[tuple[Word, Word], tuple[Word, ...]] = field(
-        default_factory=dict
-    )
     results: set[tuple[Word, Word]] = field(default_factory=set)
 
 
@@ -265,7 +253,14 @@ def encode_synonym_cnf(
         reg.intern(cognate_desc(cand.pair))
     for cand in sorted(syn_candidates, key=lambda c: c.pair):
         reg.intern(synonym_desc(cand.pair))
-    new_edges = synonym_new_edges(sets, syn_candidates)
+    # the links the synonym words lack; the cognate stage's leftover
+    # hypotheses play no part in this stage
+    new_edges = {
+        key
+        for cand in syn_candidates
+        for key in cand.missing_edges
+        if key not in sets.existing_edges
+    }
     sets.new_edges = new_edges
     _register_edges(reg, set(sets.existing_edges) | new_edges)
 
@@ -315,21 +310,6 @@ def encode_synonym_cnf(
     return cnf
 
 
-def synonym_new_edges(
-    sets: PipelineSets, syn_candidates: Sequence[SynonymCandidate]
-) -> set[EdgeKey]:
-    """The synonym stage's hypothesized edges: the links its synonym words lack.
-
-    The cognate stage's leftover hypotheses play no part in that stage.
-    """
-    return {
-        key
-        for cand in syn_candidates
-        for key in cand.missing_edges
-        if key not in sets.existing_edges
-    }
-
-
 def update_after_acceptance(
     cnf: CnfFormula, sets: PipelineSets, accepted: PairCandidate | SynonymCandidate
 ) -> None:
@@ -356,35 +336,17 @@ def update_after_acceptance(
         cnf.pool_index = None
     cnf.hard.append(hard_clause((var,)))
 
-    for key in commit_acceptance(sets, accepted):
+    for key in sorted(accepted.missing_edges, key=edge_sort_key):
+        if key not in sets.new_edges:  # hardened by a previous acceptance
+            continue
+        sets.new_edges.discard(key)
+        sets.existing_edges.add(key)
         evar = cnf.registry.id_of(edge_desc(key))
         cnf.soft = [c for c in cnf.soft if c.literals != (-evar,)]
         cnf.hard.append(hard_clause((evar,)))
-
-
-def commit_acceptance(
-    sets: PipelineSets, accepted: PairCandidate | SynonymCandidate
-) -> list[EdgeKey]:
-    """Record one accepted decision in the set state.
-
-    Its hypothesized edges that are still new become existing; returns
-    those edges in edge order.
-    """
-    pair = accepted.pair
-    if pair in sets.results:
-        raise ValueError(f"pair {pair} already accepted")
-    hardened = [
-        key
-        for key in sorted(accepted.missing_edges, key=edge_sort_key)
-        if key in sets.new_edges  # not hardened by a previous acceptance
-    ]
-    for key in hardened:
-        sets.new_edges.discard(key)
-        sets.existing_edges.add(key)
     sets.results.add(pair)
-    if isinstance(accepted, PairCandidate):
+    if is_cognate:
         sets.accepted_cognates.append(accepted)
-    return hardened
 
 
 def export_wcnf(cnf: CnfFormula, sink: IO[str]) -> None:

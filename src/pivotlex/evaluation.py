@@ -6,16 +6,18 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .lexicon import PairSet
 from .pipeline import (
-    COGNATE,
-    SYNONYM,
     HyperParams,
     InducedPair,
     MethodDescriptor,
     induce_on_transgraphs,
+    result_pair_set,
+    run_cognate_stage,
+    run_cycles,
+    run_synonym_stage,
 )
 from .transgraph import Transgraph, TransgraphSet
 
@@ -30,15 +32,20 @@ class Metrics:
 
 def score(result: PairSet, gold: PairSet, beta: float = 1.0) -> Metrics:
     """Precision/recall/F over pair sets; empty result scores all zeros."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    # `not <` also rejects NaN, which fails every comparison
+    if not 0 < beta < math.inf:
+        raise ValueError("beta must be positive and finite")
     if (result.lang_a, result.lang_c) != (gold.lang_a, gold.lang_c):
         raise ValueError("result and gold use different language pairs")
     if not gold.pairs:
         raise ValueError("gold standard is empty")
     hits = len(result.pairs & gold.pairs)
-    precision = hits / len(result.pairs) if result.pairs else 0.0
-    recall = hits / len(gold.pairs)
+    return _metrics(hits, len(result.pairs), len(gold.pairs), beta)
+
+
+def _metrics(hits: int, size: int, gold_size: int, beta: float) -> Metrics:
+    precision = hits / size if size else 0.0
+    recall = hits / gold_size
     b2 = beta * beta
     denom = b2 * precision + recall
     f = (1 + b2) * precision * recall / denom if denom > 0 else 0.0
@@ -52,23 +59,78 @@ class GridPoint:
     metrics: Metrics
 
 
-def _filtered_pairs(
-    cognates: list[InducedPair],
-    synonyms: list[InducedPair],
-    ct: float,
-    st: float | None,
-) -> set:
-    kept = {p.pair for p in cognates if p.cost < ct}
-    if st is not None:
-        kept |= {
-            p.pair for p in synonyms if p.anchor in kept and p.cost < st
-        }
-    return kept
+def _kept(accepted: Sequence[InducedPair], threshold: float | None) -> int:
+    """How many of a stage's unthresholded acceptances a run at `threshold` keeps."""
+    if threshold is not None:
+        for i, pair in enumerate(accepted):
+            if not pair.cost < threshold:
+                return i
+    return len(accepted)
 
 
-def _threshold_grid(top: float) -> list[float]:
-    steps = math.ceil(round(top * 100, 6)) + 1
-    return [i / 100 for i in range(steps + 1)]
+class StageRuns:
+    """One transgraph's unthresholded stage runs; a run at any thresholds follows.
+
+    See grid_search. The synonym stage runs once per cognate prefix in use.
+    """
+
+    def __init__(self, tg: Transgraph, descriptor: MethodDescriptor):
+        cyc = run_cycles(tg, descriptor)
+        self.graph = cyc.graph
+        self.cognates = run_cognate_stage(
+            cyc.graph, cyc.candidates, HyperParams(), descriptor.method != "M"
+        )
+        self.with_synonyms = descriptor.method == "S"
+        self._synonyms: dict[int, list[InducedPair]] = {}  # by cognate prefix length
+
+    def pairs(self, ct: float | None, st: float | None) -> list[InducedPair]:
+        """The pairs a run at thresholds (ct, st) accepts, in order."""
+        k = _kept(self.cognates.accepted, ct)
+        if self.with_synonyms and k not in self._synonyms:
+            cognates = self.cognates.candidates[:k]
+            stage = run_synonym_stage(self.graph, cognates, HyperParams())
+            self._synonyms[k] = stage.accepted
+        synonyms = self._synonyms.get(k, [])
+        return self.cognates.accepted[:k] + synonyms[: _kept(synonyms, st)]
+
+
+def grid_points(
+    tset: TransgraphSet,
+    descriptor: MethodDescriptor,
+    gold: PairSet,
+    beta: float = 1.0,
+) -> Iterator[GridPoint]:
+    """Every point of the 0.01 threshold grid with the metrics of a run there.
+
+    The cognate axis runs past the costliest unthresholded acceptance; the
+    synonym axis is 0..1 for method S and None otherwise. Points come in
+    search order, the synonym threshold varying fastest. A transgraph's
+    pairs at a point come from its StageRuns, so nothing reruns per point.
+    """
+    # fail on the inputs score rejects, before any work
+    score(PairSet(tset.lang_a, tset.lang_c, frozenset()), gold, beta)
+    runs = [StageRuns(g, descriptor) for g in sorted(tset.graphs, key=lambda g: g.id)]
+    top = max((p.cost for r in runs for p in r.pairs(None, None)), default=0.0)
+    cognate_grid = [i / 100 for i in range(math.ceil(round(top * 100, 6)) + 2)]
+    synonym_grid: list[float | None]
+    synonym_grid = [i / 100 for i in range(101)] if descriptor.method == "S" else [None]
+    # (pairs, gold pairs) per synonym threshold, for each transgraph and
+    # cognate prefix length: a transgraph's pairs depend on ct through that alone
+    tallies: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for ct in cognate_grid:
+        row = []
+        for g, run in enumerate(runs):
+            key = (g, _kept(run.cognates.accepted, ct))
+            if key not in tallies:
+                kept = [run.pairs(ct, st) for st in synonym_grid]
+                tallies[key] = [
+                    (len(ps), sum(p.pair in gold.pairs for p in ps)) for ps in kept
+                ]
+            row.append(tallies[key])
+        for s, st in enumerate(synonym_grid):
+            size = sum(t[s][0] for t in row)
+            hits = sum(t[s][1] for t in row)
+            yield GridPoint(ct, st, _metrics(hits, size, len(gold.pairs), beta))
 
 
 def grid_search(
@@ -76,39 +138,19 @@ def grid_search(
     descriptor: MethodDescriptor,
     gold: PairSet,
     beta: float = 1.0,
-    exact: bool = False,
 ) -> GridPoint:
     """Pick the thresholds maximizing F on a 0.01 grid (ties: smallest).
 
-    The default path runs the pipeline once without thresholds and
-    post-filters pairs by their recorded costs; exact=True re-runs the
-    pipeline at every grid point instead (slow, for verification).
+    The metrics are those of a run at the chosen thresholds, found without
+    a run per grid point. A stage at threshold t makes the same picks as an
+    unthresholded one and stops at the first pick costing >= t, so it keeps
+    a prefix of the unthresholded acceptances (not every pair costing less
+    than t: accepting a pair can make later ones cheaper). The synonym
+    stage depends only on the graph and the accepted cognates, so for
+    method S it runs once per distinct cognate prefix (see StageRuns).
     """
-    probe = induce_on_transgraphs(tset, descriptor, HyperParams(), jobs=1)
-    cognates = [p for p in probe.pairs if p.stage == COGNATE]
-    synonyms = [p for p in probe.pairs if p.stage == SYNONYM]
-    max_cost = max((p.cost for p in probe.pairs), default=0.0)
-    cognate_grid = _threshold_grid(max_cost)
-    synonym_grid: list[float | None]
-    synonym_grid = [i / 100 for i in range(101)] if descriptor.method == "S" else [None]
-
-    best: GridPoint | None = None
-    for ct in cognate_grid:
-        for st in synonym_grid:
-            if exact:
-                run = induce_on_transgraphs(
-                    tset, descriptor, HyperParams(ct, st), jobs=1
-                )
-                pairs = {p.pair for p in run.pairs}
-            else:
-                pairs = _filtered_pairs(cognates, synonyms, ct, st)
-            metrics = score(
-                PairSet(tset.lang_a, tset.lang_c, frozenset(pairs)), gold, beta
-            )
-            if best is None or metrics.f_score > best.metrics.f_score:
-                best = GridPoint(ct, st, metrics)
-    assert best is not None
-    return best
+    points = grid_points(tset, descriptor, gold, beta)
+    return max(points, key=lambda p: p.metrics.f_score)  # the first of equal maxima
 
 
 @dataclass(frozen=True)
@@ -163,7 +205,6 @@ def cross_validate(
     gold: PairSet,
     k: int,
     beta: float = 1.0,
-    exact: bool = False,
 ) -> CvReport:
     """Tune thresholds on k-1 folds of transgraphs, test on the held-out one."""
     plan = make_fold_plan([g.id for g in tset.graphs], k)
@@ -175,17 +216,12 @@ def cross_validate(
         test_graphs = [by_id[t] for t in test_ids]
         train_set = TransgraphSet(tset.lang_a, tset.lang_b, tset.lang_c, train_graphs)
         test_set = TransgraphSet(tset.lang_a, tset.lang_b, tset.lang_c, test_graphs)
-        best = grid_search(
-            train_set, descriptor, restrict_gold(gold, train_graphs), beta, exact
-        )
+        train_gold = restrict_gold(gold, train_graphs)
+        best = grid_search(train_set, descriptor, train_gold, beta)
         hp = HyperParams(best.cognate_threshold, best.synonym_threshold)
         test_run = induce_on_transgraphs(test_set, descriptor, hp, jobs=1)
-        test_pairs = PairSet(
-            tset.lang_a,
-            tset.lang_c,
-            frozenset((p.word_a, p.word_c) for p in test_run.pairs),
-        )
-        metrics = score(test_pairs, restrict_gold(gold, test_graphs), beta)
+        test_gold = restrict_gold(gold, test_graphs)
+        metrics = score(result_pair_set(test_run), test_gold, beta)
         results.append(FoldResult(i, test_ids, best, metrics))
     mean_f = sum(r.test_metrics.f_score for r in results) / len(results)
     return CvReport(plan, tuple(results), mean_f)

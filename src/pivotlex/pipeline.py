@@ -20,6 +20,14 @@ turns on exactly one fresh decision, the one whose still-hypothesized
 edges weigh least, ties going to the decision with the highest variable
 id, i.e. the last pair. The formula and the solver remain the exact
 reference that the tests compare this selection with.
+
+Stages pass data, not shared state: a stage returns the candidates it
+accepted, in order. The synonym stage depends only on the graph and the
+accepted cognates: each of those leaves all of its missing edges existing,
+and its pivots anchor the synonym search. A stage run at threshold t makes
+the same picks as an unthresholded one and stops at the first pick costing
+>= t, so it keeps a prefix of the unthresholded acceptances; costs need not
+rise along that prefix. evaluation.grid_search relies on both facts.
 """
 
 from __future__ import annotations
@@ -30,13 +38,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .encoding import (
-    MICRO,
-    PipelineSets,
-    commit_acceptance,
-    edge_micro_weights,
-    synonym_new_edges,
-)
+from .encoding import MICRO, edge_micro_weights
 from .heuristics import (
     HeuristicSelection,
     PairCandidate,
@@ -132,7 +134,8 @@ class CycleResult:
 @dataclass
 class StageOutcome:
     accepted: list[InducedPair]
-    sets: PipelineSets
+    # the candidates behind `accepted`, in acceptance order
+    candidates: list[PairCandidate | SynonymCandidate]
     hard_unsat: bool
 
 
@@ -193,39 +196,38 @@ def run_cycles(tg: Transgraph, descriptor: MethodDescriptor) -> CycleResult:
 
 def _run_stage(
     candidates: Sequence[PairCandidate | SynonymCandidate],
-    sets: PipelineSets,
     threshold: float | None,
     stage: str,
     tg_id: int,
     exclusive: bool,
-) -> tuple[list[InducedPair], bool]:
+) -> StageOutcome:
     """Accept the cheapest fresh decision until the pool, the budget or feasibility runs out.
 
     A candidate costs the summed micro-weights of its hypothesized edges
     that are still new; accepting one hardens them, which lowers the cost
-    of every candidate sharing them. With ``exclusive``, a candidate sharing
-    a word with an accepted one is blocked. The second value is True when
-    candidates remain but every one of them is blocked.
+    of every candidate sharing them. No hypothesized edge exists when the
+    stage starts, so an edge is new until an acceptance hardens it. With
+    ``exclusive``, a candidate sharing a word with an accepted one is
+    blocked. ``hard_unsat`` is True when candidates remain but every one of
+    them is blocked.
     """
     ranked = sorted(candidates, key=lambda c: c.pair)
     weight = edge_micro_weights(ranked)
     wanting: dict[EdgeKey, list[int]] = {}
     cost: list[int] = []
     for i, cand in enumerate(ranked):
-        micro = 0
         for key in cand.missing_edges:
-            if key in sets.new_edges:
-                micro += weight[key]
-                wanting.setdefault(key, []).append(i)
-        cost.append(micro)
+            wanting.setdefault(key, []).append(i)
+        cost.append(sum(weight[key] for key in cand.missing_edges))
     # min-heap on (cost, -rank): ties go to the last pair; an entry whose
     # cost is no longer current is stale and skipped
     heap = [(micro, -i) for i, micro in enumerate(cost)]
     heapq.heapify(heap)
     done = [False] * len(ranked)  # accepted or blocked
+    hardened: set[EdgeKey] = set()
     used_a: set[Word] = set()
     used_c: set[Word] = set()
-    accepted: list[InducedPair] = []
+    out = StageOutcome([], [], False)
     while heap:
         micro, neg_rank = heapq.heappop(heap)
         i = -neg_rank
@@ -237,8 +239,11 @@ def _run_stage(
             continue
         value = micro / MICRO
         if threshold is not None and not value < threshold:
-            return accepted, False
-        for key in commit_acceptance(sets, cand):
+            return out
+        for key in cand.missing_edges:
+            if key in hardened:
+                continue
+            hardened.add(key)
             for j in wanting[key]:
                 if not done[j]:
                     cost[j] -= weight[key]
@@ -247,10 +252,12 @@ def _run_stage(
             used_a.add(cand.word_a)
             used_c.add(cand.word_c)
         anchor = cand.anchor if isinstance(cand, SynonymCandidate) else None
-        accepted.append(
+        out.accepted.append(
             InducedPair(cand.word_a, cand.word_c, stage, value, tg_id, anchor)
         )
-    return accepted, len(accepted) < len(ranked)
+        out.candidates.append(cand)
+    out.hard_unsat = len(out.accepted) < len(ranked)
+    return out
 
 
 def run_cognate_stage(
@@ -259,20 +266,7 @@ def run_cognate_stage(
     hp: HyperParams,
     one_to_one: bool = True,
 ) -> StageOutcome:
-    sets = PipelineSets(
-        existing_edges={e.key for e in tg.edges},
-        new_edges={k for c in candidates for k in c.missing_edges},
-        candidates=list(candidates),
-    )
-    if not candidates:
-        return StageOutcome([], sets, False)
-    accepted, unsat = _run_stage(
-        candidates, sets, hp.cognate_threshold, COGNATE, tg.id, one_to_one
-    )
-    sets.rejected_candidates = [c for c in candidates if c.pair not in sets.results]
-    for cand in sets.accepted_cognates:
-        sets.anchor_pivots[cand.pair] = tuple(sorted(p.pivot for p in cand.paths))
-    return StageOutcome(accepted, sets, unsat)
+    return _run_stage(candidates, hp.cognate_threshold, COGNATE, tg.id, one_to_one)
 
 
 def cognate_synonym_probability(tg: Transgraph, cognate, syn_word: Word) -> float:
@@ -292,9 +286,17 @@ def cognate_synonym_probability(tg: Transgraph, cognate, syn_word: Word) -> floa
     return len(linked) / len(anchor_pivots)
 
 
-def _synonym_candidates(tg: Transgraph, sets: PipelineSets) -> list[SynonymCandidate]:
-    """Propose partners sharing pivots with an accepted cognate's endpoints."""
-    present = sets.existing_edges
+def _synonym_candidates(
+    tg: Transgraph, cognates: Sequence[PairCandidate]
+) -> list[SynonymCandidate]:
+    """Propose partners sharing pivots with an accepted cognate's endpoints.
+
+    The graph counts the missing edges that accepting the cognates hardened.
+    """
+    present = {e.key for e in tg.edges}
+    for cog in cognates:
+        present.update(cog.missing_edges)
+    taken = {cog.pair for cog in cognates}
     word_pivots: dict[Word, set[Word]] = {}
     pivot_a: dict[Word, set[Word]] = {}
     pivot_c: dict[Word, set[Word]] = {}
@@ -314,9 +316,9 @@ def _synonym_candidates(tg: Transgraph, sets: PipelineSets) -> list[SynonymCandi
         ):
             by_pair[cand.pair] = cand
 
-    for anchor in sorted(sets.accepted_cognates, key=lambda c: c.pair):
+    for anchor in sorted(cognates, key=lambda c: c.pair):
         wa, wc = anchor.pair
-        pivots = sets.anchor_pivots[anchor.pair]
+        pivots = tuple(sorted(p.pivot for p in anchor.paths))
         for side, seed_word, neighbours in (
             (SIDE_BC, wc, pivot_c),
             (SIDE_AB, wa, pivot_a),
@@ -327,7 +329,7 @@ def _synonym_candidates(tg: Transgraph, sets: PipelineSets) -> list[SynonymCandi
             partners.discard(seed_word)
             for w in sorted(partners):
                 pair = (wa, w) if side == SIDE_BC else (w, wc)
-                if pair in sets.results:
+                if pair in taken:
                     continue
                 linked = sum(1 for b in pivots if b in word_pivots.get(w, ()))
                 missing = tuple(
@@ -341,7 +343,7 @@ def _synonym_candidates(tg: Transgraph, sets: PipelineSets) -> list[SynonymCandi
                         word_a=pair[0],
                         word_c=pair[1],
                         anchor=(wa, wc),
-                        anchor_pivots=tuple(pivots),
+                        anchor_pivots=pivots,
                         shared_prob=linked / len(pivots),
                         missing_edges=missing,
                     )
@@ -349,16 +351,12 @@ def _synonym_candidates(tg: Transgraph, sets: PipelineSets) -> list[SynonymCandi
     return sorted(by_pair.values(), key=lambda c: c.pair)
 
 
-def run_synonym_stage(tg: Transgraph, sets: PipelineSets, hp: HyperParams) -> StageOutcome:
+def run_synonym_stage(
+    tg: Transgraph, cognates: Sequence[PairCandidate], hp: HyperParams
+) -> StageOutcome:
     """Extract synonym partners of the accepted cognates; empty stage is fine."""
-    syn_cands = _synonym_candidates(tg, sets)
-    if not syn_cands:
-        return StageOutcome([], sets, False)
-    sets.new_edges = synonym_new_edges(sets, syn_cands)
-    accepted, unsat = _run_stage(
-        syn_cands, sets, hp.synonym_threshold, SYNONYM, tg.id, False
-    )
-    return StageOutcome(accepted, sets, unsat)
+    syn_cands = _synonym_candidates(tg, cognates)
+    return _run_stage(syn_cands, hp.synonym_threshold, SYNONYM, tg.id, False)
 
 
 def _induce_one(args) -> tuple[int, list[InducedPair], TransgraphReport]:
@@ -371,7 +369,7 @@ def _induce_one(args) -> tuple[int, list[InducedPair], TransgraphReport]:
     synonyms: list[InducedPair] = []
     syn_unsat = False
     if descriptor.method == "S":
-        st2 = run_synonym_stage(cyc.graph, st1.sets, hp)
+        st2 = run_synonym_stage(cyc.graph, st1.candidates, hp)
         synonyms = st2.accepted
         syn_unsat = st2.hard_unsat
         pairs += synonyms

@@ -233,6 +233,97 @@ def test_non_positive_max_edges_is_usage_error(workdir, capsys, monkeypatch, com
     assert "positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", MAX_EDGES_COMMANDS, ids=lambda c: c[0])
+def test_skipped_components_are_reported(workdir, capsys, monkeypatch, command):
+    # a third component keeps two of the three, so cv --folds 2 still runs
+    with open(workdir / "ab.tsv", "a", encoding="utf-8") as f:
+        f.write("a4\tb4\n")
+    with open(workdir / "cb.tsv", "a", encoding="utf-8") as f:
+        f.write("c4\tb4\n")
+    (workdir / "gold.tsv").write_text("a1\tc1\na2\tc2\na4\tc4\n", encoding="utf-8")
+    monkeypatch.chdir(workdir)
+    extra = ["--folds", "2"] if command[0] == "cv" else []
+    code = main([*command, *dict_flags(workdir), *extra, "--max-edges", "3"])
+    assert code == 0
+    assert capsys.readouterr().err == (
+        "warning: --max-edges 3 skipped 1 transgraph(s), the largest with 4 edges\n"
+    )
+
+
+def test_nothing_skipped_means_no_warning(workdir, capsys):
+    out = workdir / "out.tsv"
+    assert main(["induce", *dict_flags(workdir), "--method", "1:C:H1", "-o", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_everything_skipped_still_exits_zero(workdir, capsys):
+    out = workdir / "out.tsv"
+    code = main(
+        ["induce", *dict_flags(workdir), "--method", "1:C:H1", "--max-edges", "1", "-o", str(out)]
+    )
+    assert code == 0
+    assert out.read_text(encoding="utf-8") == ""
+    assert "skipped 2 transgraph(s), the largest with 4 edges" in capsys.readouterr().err
+
+
+def _eval_command(d):
+    return [
+        "eval", "--result", str(d / "gold.tsv"), "--gold", str(d / "gold.tsv"),
+        "--lang-a", "aaa", "--lang-c", "ccc",
+    ]
+
+
+SCORING_COMMANDS = {
+    "eval": _eval_command,
+    "grid-search": lambda d: [
+        "grid-search", *dict_flags(d), "--gold", str(d / "gold.tsv"), "--method", "1:C:H1"
+    ],
+    "cv": lambda d: [
+        "cv", *dict_flags(d), "--gold", str(d / "gold.tsv"), "--method", "1:C:H1"
+    ],
+}
+
+
+@pytest.mark.parametrize("beta", ["nan", "0", "-1", "inf"])
+@pytest.mark.parametrize("command", sorted(SCORING_COMMANDS))
+def test_bad_beta_is_usage_error(workdir, capsys, command, beta):
+    code = main([*SCORING_COMMANDS[command](workdir), "--beta", beta])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "beta must be positive and finite" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["grid-search", "cv"])
+def test_exact_flag_is_gone(workdir, command):
+    assert main([*SCORING_COMMANDS[command](workdir), "--exact"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cv", "--folds", "1"],
+        ["cv", "--folds", "0"],
+        ["baseline", "ic", "--delta", "0"],
+        ["baseline", "ic", "--delta", "-1"],
+        ["polysemy", "--n-max", "0"],
+        ["polysemy", "--n-max", "21"],
+    ],
+    ids=" ".join,
+)
+def test_out_of_range_option_is_usage_error(workdir, capsys, argv):
+    if argv[0] == "cv":
+        argv = [*SCORING_COMMANDS["cv"](workdir), *argv[1:]]
+    elif argv[0] == "baseline":
+        argv = [*argv, *dict_flags(workdir), "-o", str(workdir / "ic.tsv")]
+    assert main(argv) == 1
+    assert "must be" in capsys.readouterr().err
+
+
+def test_more_folds_than_graphs_is_data_error(workdir):
+    assert main([*SCORING_COMMANDS["cv"](workdir), "--folds", "3"]) == 2
+
+
 def test_import_leaves_numpy_and_scipy_unloaded():
     code = (
         "import sys, pivotlex, pivotlex.cli; "
@@ -265,6 +356,12 @@ class TestOtherCommands:
         assert main(["ttest", str(workdir / "xs.txt"), str(workdir / "ys.txt")]) == 0
         text = capsys.readouterr().out
         assert "t\t5.1962" in text and "df\t2" in text
+
+    def test_ttest_value_files_may_start_with_a_byte_order_mark(self, workdir, capsys):
+        (workdir / "xs.txt").write_text("\ufeff0.1\n0.2\n0.15\n", encoding="utf-8")
+        (workdir / "ys.txt").write_text("\ufeff0\n0\n0\n", encoding="utf-8")
+        assert main(["ttest", str(workdir / "xs.txt"), str(workdir / "ys.txt")]) == 0
+        assert "t\t5.1962" in capsys.readouterr().out
 
     def test_grid_search(self, workdir, capsys):
         code = main(

@@ -236,7 +236,19 @@ class TestSynonymEncoding:
         st = run_cognate_stage(
             out.graph, out.candidates, HyperParams(cognate_threshold=threshold)
         )
-        return out.graph, st.sets
+        # the encoder's set state after those acceptances
+        sets = PipelineSets(
+            existing_edges={e.key for e in out.graph.edges},
+            new_edges={k for c in out.candidates for k in c.missing_edges},
+            candidates=list(out.candidates),
+        )
+        cnf = encode_cognate_cnf(out.graph, out.candidates, sets)
+        for cand in st.candidates:
+            update_after_acceptance(cnf, sets, cand)
+        sets.rejected_candidates = [
+            c for c in out.candidates if c.pair not in sets.results
+        ]
+        return out.graph, sets
 
     def test_two_thirds_share_prices_the_single_missing_link(self):
         from pivotlex.encoding import encode_synonym_cnf
@@ -248,7 +260,7 @@ class TestSynonymEncoding:
             ("c2", "b1"), ("c2", "b2"),
         ]
         g, sets = self._stage_one(ab, cb)
-        (syn,) = _synonym_candidates(g, sets)
+        (syn,) = _synonym_candidates(g, sets.accepted_cognates)
         assert syn.shared_prob == pytest.approx(2 / 3)
         cnf = encode_synonym_cnf(g, sets, [syn])
         (sc,) = cnf.soft
@@ -263,7 +275,7 @@ class TestSynonymEncoding:
             ("c2", "b1"), ("c2", "b2"),
         ]
         g, sets = self._stage_one(ab, cb)
-        (syn,) = _synonym_candidates(g, sets)
+        (syn,) = _synonym_candidates(g, sets.accepted_cognates)
         assert syn.shared_prob == pytest.approx(0.5)
         assert len(syn.missing_edges) == 2
         cnf = encode_synonym_cnf(g, sets, [syn])

@@ -12,7 +12,6 @@ from helpers import (
     wa,
     wc,
 )
-from pivotlex.encoding import PipelineSets
 from pivotlex.pipeline import (
     COGNATE,
     SYNONYM,
@@ -199,7 +198,7 @@ class TestSynonymStage:
         desc = parse_method(method)
         out = run_cycles(g, desc)
         st1 = run_cognate_stage(g, out.candidates, hp or HyperParams())
-        st2 = run_synonym_stage(out.graph, st1.sets, hp or HyperParams())
+        st2 = run_synonym_stage(out.graph, st1.candidates, hp or HyperParams())
         return st1, st2
 
     def test_synonyms_of_both_sides(self):
@@ -238,10 +237,7 @@ class TestSynonymStage:
 
     def test_stage_empty_without_cognates(self):
         g = single_graph([("a1", "b1")], [("c1", "b1")])
-        sets = PipelineSets(
-            existing_edges={e.key for e in g.edges}, new_edges=set(), candidates=[]
-        )
-        st = run_synonym_stage(g, sets, HyperParams())
+        st = run_synonym_stage(g, [], HyperParams())
         assert st.accepted == [] and not st.hard_unsat
 
     def test_synonym_shares_anchor_pivot(self):
