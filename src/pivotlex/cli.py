@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import baselines, evaluation, polysemy
-from .encoding import PipelineSets, encode_cognate_cnf, export_wcnf
+from .encoding import encode_cognate_cnf, export_wcnf
 from .lexicon import (
     ParseError,
     parse_dictionary,
@@ -203,9 +203,12 @@ def _read_numbers(path: str) -> list[float]:
             if not line or line.startswith("#"):
                 continue
             try:
-                values.append(float(line))
+                value = float(line)
             except ValueError as exc:
                 raise ParseError(f"{path}: line {lineno}: not a number") from exc
+            if not math.isfinite(value):
+                raise ParseError(f"{path}: line {lineno}: not a finite number")
+            values.append(value)
     return values
 
 
@@ -242,13 +245,8 @@ def _cmd_export_wcnf(args) -> int:
         cyc = run_cycles(g, descriptor)
         if not cyc.candidates:
             continue
-        sets = PipelineSets(
-            existing_edges={e.key for e in cyc.graph.edges},
-            new_edges={k for c in cyc.candidates for k in c.missing_edges},
-            candidates=list(cyc.candidates),
-        )
         cnf = encode_cognate_cnf(
-            cyc.graph, cyc.candidates, sets, uniqueness=descriptor.method != "M"
+            cyc.graph, cyc.candidates, uniqueness=descriptor.method != "M"
         )
         path = os.path.join(args.out_dir, f"tg{g.id}.wcnf")
         with _out(path) as f:

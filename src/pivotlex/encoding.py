@@ -5,6 +5,13 @@ synonym decisions. Hard clauses pin down the known graph and the rules of
 the game; soft clauses price the hypothesized edges, so the solver's
 optimum is the cheapest consistent reading of the transgraph.
 
+A stage formula is a pure function of the graph, the stage's candidates
+and the decisions accepted so far; a stage is replayed by encoding again
+after each acceptance. Each accepted decision is a hard unit and implies
+its own edges, so the edges that exist are the graph's plus every missing
+edge of the accepted decisions, and only the candidates' other missing
+edges stay hypothesized.
+
 Soft weights are kept both as floats and as integer micro-units
 (rounded to 1e-6); every cost comparison and the WCNF export use the
 integer form, so runs are bit-reproducible.
@@ -44,10 +51,6 @@ class Clause:
             raise ValueError(f"duplicate literal in clause {self.literals}")
         if any(-l in seen for l in self.literals):
             raise ValueError(f"complementary literals in clause {self.literals}")
-
-    @property
-    def is_hard(self) -> bool:
-        return self.weight is None
 
 
 def hard_clause(literals: Iterable[int]) -> Clause:
@@ -104,8 +107,6 @@ class CnfFormula:
     registry: VarRegistry
     hard: list[Clause] = field(default_factory=list)
     soft: list[Clause] = field(default_factory=list)
-    # index into `hard` of the pick-at-least-one clause, None once exhausted
-    pool_index: int | None = None
     counts: dict[str, int] = field(default_factory=dict)
 
     @property
@@ -115,18 +116,6 @@ class CnfFormula:
     @property
     def nclauses(self) -> int:
         return len(self.hard) + len(self.soft)
-
-
-@dataclass
-class PipelineSets:
-    """The set state an encoded stage formula is built over."""
-
-    existing_edges: set[EdgeKey]
-    new_edges: set[EdgeKey]
-    candidates: list[PairCandidate]
-    accepted_cognates: list[PairCandidate] = field(default_factory=list)
-    rejected_candidates: list[PairCandidate] = field(default_factory=list)
-    results: set[tuple[Word, Word]] = field(default_factory=set)
 
 
 def _edge_weights(cands: Sequence) -> dict[EdgeKey, float]:
@@ -153,45 +142,61 @@ def _per_edge_cost(cand) -> float:
     return cand.edge_cost
 
 
-def _register_edges(reg: VarRegistry, keys: Iterable[EdgeKey]) -> None:
-    for key in sorted(keys, key=edge_sort_key):
+def _edge_clauses(
+    reg: VarRegistry,
+    tg: Transgraph,
+    candidates: Sequence,
+    accepted: Iterable,
+) -> CnfFormula:
+    """A formula holding the edge variables and their clauses.
+
+    The existing edges (the graph's plus every missing edge of an accepted
+    decision) are pinned true; the candidates' other missing edges are soft
+    false at the cheapest cost among the candidates wanting them.
+    """
+    existing = {e.key for e in tg.edges}
+    existing.update(key for cand in accepted for key in cand.missing_edges)
+    new = {key for cand in candidates for key in cand.missing_edges} - existing
+    for key in sorted(existing | new, key=edge_sort_key):
         reg.intern(edge_desc(key))
+    cnf = CnfFormula(reg)
+    for key in sorted(existing, key=edge_sort_key):
+        cnf.hard.append(hard_clause((reg.id_of(edge_desc(key)),)))
+    weights = _edge_weights(candidates)
+    for key in sorted(new, key=edge_sort_key):
+        cnf.soft.append(soft_clause((-reg.id_of(edge_desc(key)),), weights[key]))
+    cnf.counts["edge_exists"] = len(cnf.hard)
+    cnf.counts["edge_absent"] = len(cnf.soft)
+    return cnf
 
 
 def encode_cognate_cnf(
     tg: Transgraph,
     candidates: Sequence[PairCandidate],
-    sets: PipelineSets,
+    accepted: Sequence[PairCandidate] = (),
     uniqueness: bool = True,
 ) -> CnfFormula:
-    """Build the cognate-extraction formula over the current sets.
+    """Build the cognate-extraction formula after the accepted decisions.
 
     Clause groups: existing edges pinned true; hypothesized edges soft-false
     at their owners' cost; each decision implies all of its pair's edges;
-    optionally at most one decision per word; already accepted decisions
-    pinned true; and one disjunction demanding a fresh decision.
+    optionally at most one decision per word; the accepted decisions, a
+    subset of the candidates, pinned true; and, last, one disjunction
+    demanding a fresh decision. An accepted decision implies its edges, so
+    they count as existing. Raises ValueError when no candidate is left
+    undecided.
     """
     if not candidates:
         raise ValueError("cannot encode without candidates")
     reg = VarRegistry()
-    for cand in sorted(candidates, key=lambda c: c.pair):
+    ordered = sorted(candidates, key=lambda c: c.pair)
+    for cand in ordered:
         reg.intern(cognate_desc(cand.pair))
-    _register_edges(reg, set(sets.existing_edges) | set(sets.new_edges))
-
-    cnf = CnfFormula(reg)
+    cnf = _edge_clauses(reg, tg, candidates, accepted)
     counts = cnf.counts
 
-    for key in sorted(sets.existing_edges, key=edge_sort_key):
-        cnf.hard.append(hard_clause((reg.id_of(edge_desc(key)),)))
-    counts["edge_exists"] = len(cnf.hard)
-
-    weights = _edge_weights(candidates)
-    for key in sorted(sets.new_edges, key=edge_sort_key):
-        cnf.soft.append(soft_clause((-reg.id_of(edge_desc(key)),), weights[key]))
-    counts["edge_absent"] = len(cnf.soft)
-
     n_sym = 0
-    for cand in sorted(candidates, key=lambda c: c.pair):
+    for cand in ordered:
         cvar = reg.id_of(cognate_desc(cand.pair))
         for path in sorted(cand.paths, key=lambda p: p.pivot):
             ab = reg.id_of(edge_desc((cand.word_a, path.pivot, "AB")))
@@ -205,7 +210,7 @@ def encode_cognate_cnf(
     if uniqueness:
         by_a: dict[Word, list[int]] = {}
         by_c: dict[Word, list[int]] = {}
-        for cand in sorted(candidates, key=lambda c: c.pair):
+        for cand in ordered:
             cvar = reg.id_of(cognate_desc(cand.pair))
             by_a.setdefault(cand.word_a, []).append(cvar)
             by_c.setdefault(cand.word_c, []).append(cvar)
@@ -216,20 +221,14 @@ def encode_cognate_cnf(
                     n_uniq += 1
     counts["uniqueness"] = n_uniq
 
-    n_committed = 0
-    for cand in sets.accepted_cognates:
+    for cand in accepted:
         cnf.hard.append(hard_clause((reg.id_of(cognate_desc(cand.pair)),)))
-        n_committed += 1
-    counts["committed"] = n_committed
+    counts["committed"] = len(accepted)
 
-    pool = [
-        reg.id_of(cognate_desc(cand.pair))
-        for cand in sorted(candidates, key=lambda c: c.pair)
-        if cand.pair not in sets.results
-    ]
+    taken = {cand.pair for cand in accepted}
+    pool = [reg.id_of(cognate_desc(c.pair)) for c in ordered if c.pair not in taken]
     if not pool:
         raise ValueError("no undecided candidates left to encode")
-    cnf.pool_index = len(cnf.hard)
     cnf.hard.append(hard_clause(tuple(pool)))
     counts["pick_one"] = 1
     return cnf
@@ -237,55 +236,49 @@ def encode_cognate_cnf(
 
 def encode_synonym_cnf(
     tg: Transgraph,
-    sets: PipelineSets,
+    candidates: Sequence[PairCandidate],
+    cognates: Sequence[PairCandidate],
     syn_candidates: Sequence[SynonymCandidate],
+    accepted: Sequence[SynonymCandidate] = (),
 ) -> CnfFormula | None:
     """Build the synonym-extraction formula; None when the stage is empty.
 
-    A synonym decision implies its anchor cognate plus a link from the
+    ``candidates`` are the cognate stage's candidates and ``cognates`` the
+    ones it accepted; the rest are pinned false. ``accepted`` are the
+    synonym decisions taken so far, a subset of ``syn_candidates``. A
+    synonym decision implies its anchor cognate plus a link from the
     synonym word to every anchor pivot; absent links are soft with the
-    leftover synonym improbability spread evenly across them.
+    leftover synonym improbability spread evenly across them. Every
+    accepted decision, cognate or synonym, implies its edges, so they count
+    as existing; the cognate stage's leftover hypotheses play no part.
     """
     if not syn_candidates:
         return None
     reg = VarRegistry()
-    for cand in sorted(sets.candidates, key=lambda c: c.pair):
+    for cand in sorted(candidates, key=lambda c: c.pair):
         reg.intern(cognate_desc(cand.pair))
-    for cand in sorted(syn_candidates, key=lambda c: c.pair):
+    ordered = sorted(syn_candidates, key=lambda c: c.pair)
+    for cand in ordered:
         reg.intern(synonym_desc(cand.pair))
-    # the links the synonym words lack; the cognate stage's leftover
-    # hypotheses play no part in this stage
-    new_edges = {
-        key
-        for cand in syn_candidates
-        for key in cand.missing_edges
-        if key not in sets.existing_edges
-    }
-    sets.new_edges = new_edges
-    _register_edges(reg, set(sets.existing_edges) | new_edges)
-
-    cnf = CnfFormula(reg)
+    cnf = _edge_clauses(reg, tg, syn_candidates, [*cognates, *accepted])
     counts = cnf.counts
 
-    for key in sorted(sets.existing_edges, key=edge_sort_key):
-        cnf.hard.append(hard_clause((reg.id_of(edge_desc(key)),)))
-    counts["edge_exists"] = len(cnf.hard)
-
-    weights = _edge_weights(syn_candidates)
-    for key in sorted(new_edges, key=edge_sort_key):
-        cnf.soft.append(soft_clause((-reg.id_of(edge_desc(key)),), weights[key]))
-    counts["edge_absent"] = len(cnf.soft)
-
-    for cand in sets.accepted_cognates:
+    for cand in cognates:
         cnf.hard.append(hard_clause((reg.id_of(cognate_desc(cand.pair)),)))
-    counts["committed"] = len(sets.accepted_cognates)
+    for cand in accepted:
+        cnf.hard.append(hard_clause((reg.id_of(synonym_desc(cand.pair)),)))
+    counts["committed"] = len(cognates) + len(accepted)
 
-    for cand in sorted(sets.rejected_candidates, key=lambda c: c.pair):
+    kept = {cand.pair for cand in cognates}
+    rejected = sorted(
+        (c for c in candidates if c.pair not in kept), key=lambda c: c.pair
+    )
+    for cand in rejected:
         cnf.hard.append(hard_clause((-reg.id_of(cognate_desc(cand.pair)),)))
-    counts["non_cognate"] = len(sets.rejected_candidates)
+    counts["non_cognate"] = len(rejected)
 
     n_link = 0
-    for cand in sorted(syn_candidates, key=lambda c: c.pair):
+    for cand in ordered:
         svar = reg.id_of(synonym_desc(cand.pair))
         cnf.hard.append(hard_clause((-svar, reg.id_of(cognate_desc(cand.anchor)))))
         n_link += 1
@@ -297,56 +290,13 @@ def encode_synonym_cnf(
             n_link += 1
     counts["synonym_link"] = n_link
 
-    pool = [
-        reg.id_of(synonym_desc(cand.pair))
-        for cand in sorted(syn_candidates, key=lambda c: c.pair)
-        if cand.pair not in sets.results
-    ]
+    taken = {cand.pair for cand in accepted}
+    pool = [reg.id_of(synonym_desc(c.pair)) for c in ordered if c.pair not in taken]
     if not pool:
         return None
-    cnf.pool_index = len(cnf.hard)
     cnf.hard.append(hard_clause(tuple(pool)))
     counts["pick_one"] = 1
     return cnf
-
-
-def update_after_acceptance(
-    cnf: CnfFormula, sets: PipelineSets, accepted: PairCandidate | SynonymCandidate
-) -> None:
-    """Commit one accepted decision into the formula and the set state.
-
-    The decision leaves the pick-one pool, becomes a hard unit, and its
-    hypothesized edges turn from soft-false into hard-true.
-    """
-    pair = accepted.pair
-    if pair in sets.results:
-        raise ValueError(f"pair {pair} already accepted")
-    is_cognate = isinstance(accepted, PairCandidate)
-    desc = cognate_desc(pair) if is_cognate else synonym_desc(pair)
-    var = cnf.registry.id_of(desc)
-
-    if cnf.pool_index is None:
-        raise ValueError("no open pick-one clause")
-    pool = cnf.hard[cnf.pool_index]
-    remaining = tuple(l for l in pool.literals if l != var)
-    if remaining:
-        cnf.hard[cnf.pool_index] = hard_clause(remaining)
-    else:
-        del cnf.hard[cnf.pool_index]
-        cnf.pool_index = None
-    cnf.hard.append(hard_clause((var,)))
-
-    for key in sorted(accepted.missing_edges, key=edge_sort_key):
-        if key not in sets.new_edges:  # hardened by a previous acceptance
-            continue
-        sets.new_edges.discard(key)
-        sets.existing_edges.add(key)
-        evar = cnf.registry.id_of(edge_desc(key))
-        cnf.soft = [c for c in cnf.soft if c.literals != (-evar,)]
-        cnf.hard.append(hard_clause((evar,)))
-    sets.results.add(pair)
-    if is_cognate:
-        sets.accepted_cognates.append(accepted)
 
 
 def export_wcnf(cnf: CnfFormula, sink: IO[str]) -> None:

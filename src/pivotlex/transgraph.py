@@ -83,17 +83,11 @@ class Transgraph:
         return {w: tuple(sorted(ps)) for w, ps in adj.items()}
 
     @cached_property
-    def pivot_a_neighbors(self) -> dict[Word, tuple[Word, ...]]:
-        return self._pivot_neighbors(SIDE_AB)
-
-    @cached_property
     def pivot_c_neighbors(self) -> dict[Word, tuple[Word, ...]]:
-        return self._pivot_neighbors(SIDE_BC)
-
-    def _pivot_neighbors(self, side: str) -> dict[Word, tuple[Word, ...]]:
+        """Pivot word -> its C-side neighbours, sorted."""
         adj: dict[Word, set[Word]] = {}
         for e in self.edges:
-            if e.side == side:
+            if e.side == SIDE_BC:
                 adj.setdefault(e.pivot, set()).add(e.non_pivot)
         return {b: tuple(sorted(ws)) for b, ws in adj.items()}
 

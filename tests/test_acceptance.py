@@ -17,7 +17,7 @@ from helpers import (
     wb,
     wc,
 )
-from pivotlex.encoding import PipelineSets, encode_cognate_cnf, export_wcnf, parse_wcnf
+from pivotlex.encoding import encode_cognate_cnf, export_wcnf, parse_wcnf
 from pivotlex.evaluation import paired_t_test, score, t_cdf
 from pivotlex.heuristics import (
     HeuristicSelection,
@@ -148,12 +148,7 @@ def _prepared(graph):
     for c in cands:
         compute_cognate_probabilities(c, tables)
         compute_edge_cost(c, sel)
-    sets = PipelineSets(
-        existing_edges={e.key for e in graph.edges},
-        new_edges={k for c in cands for k in c.missing_edges},
-        candidates=list(cands),
-    )
-    return cands, sets
+    return cands
 
 
 def test_criterion_5_constraint_count_closed_forms():
@@ -162,10 +157,10 @@ def test_criterion_5_constraint_count_closed_forms():
     while checked < 200:
         d_ab, d_cb = random_dictionaries(rng)
         for g in build_transgraphs(d_ab, d_cb).graphs:
-            cands, sets = _prepared(g)
+            cands = _prepared(g)
             if not cands:
                 continue
-            cnf = encode_cognate_cnf(g, cands, sets)
+            cnf = encode_cognate_cnf(g, cands)
             assert cnf.counts["symmetry"] == 2 * sum(len(c.paths) for c in cands)
             by_end = {}
             for c in cands:

@@ -363,6 +363,14 @@ class TestOtherCommands:
         assert main(["ttest", str(workdir / "xs.txt"), str(workdir / "ys.txt")]) == 0
         assert "t\t5.1962" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_ttest_non_finite_value_is_data_error(self, workdir, capsys, value):
+        (workdir / "xs.txt").write_text(f"0.1\n{value}\n0.15\n", encoding="utf-8")
+        (workdir / "ys.txt").write_text("0\n0\n0\n", encoding="utf-8")
+        assert main(["ttest", str(workdir / "xs.txt"), str(workdir / "ys.txt")]) == 2
+        err = capsys.readouterr().err
+        assert f"{workdir / 'xs.txt'}: line 2: not a finite number" in err
+
     def test_grid_search(self, workdir, capsys):
         code = main(
             [

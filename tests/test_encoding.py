@@ -1,3 +1,4 @@
+import copy
 import io
 import random
 from itertools import combinations
@@ -8,7 +9,6 @@ from helpers import ASYM_AB, ASYM_CB, random_dictionaries, single_graph, wa, wb,
 from pivotlex.encoding import (
     Clause,
     CnfFormula,
-    PipelineSets,
     VarRegistry,
     cognate_desc,
     edge_desc,
@@ -17,7 +17,6 @@ from pivotlex.encoding import (
     hard_clause,
     parse_wcnf,
     soft_clause,
-    update_after_acceptance,
 )
 from pivotlex.heuristics import (
     HeuristicSelection,
@@ -37,12 +36,17 @@ def prepared(graph, token="H1"):
     for c in cands:
         compute_cognate_probabilities(c, tables)
         compute_edge_cost(c, sel)
-    sets = PipelineSets(
-        existing_edges={e.key for e in graph.edges},
-        new_edges={k for c in cands for k in c.missing_edges},
-        candidates=list(cands),
-    )
-    return cands, sets
+    return cands
+
+
+def hypothesized(cands):
+    return {k for c in cands for k in c.missing_edges}
+
+
+def wcnf_text(cnf):
+    sink = io.StringIO()
+    export_wcnf(cnf, sink)
+    return sink.getvalue()
 
 
 class TestClause:
@@ -70,20 +74,20 @@ class TestClause:
 class TestRegistryOrdering:
     def test_decision_vars_before_edge_vars(self):
         g = single_graph(ASYM_AB, ASYM_CB)
-        cands, sets = prepared(g)
-        cnf = encode_cognate_cnf(g, cands, sets)
+        cands = prepared(g)
+        cnf = encode_cognate_cnf(g, cands)
         n_decisions = len(cands)
         for cand in cands:
             assert cnf.registry.id_of(cognate_desc(cand.pair)) <= n_decisions
-        for key in sets.existing_edges | sets.new_edges:
+        for key in {e.key for e in g.edges} | hypothesized(cands):
             assert cnf.registry.id_of(edge_desc(key)) > n_decisions
 
 
 class TestCognateEncoding:
     def test_chain_counts(self):
         g = single_graph([("a1", "b1")], [("c1", "b1")])
-        cands, sets = prepared(g)
-        cnf = encode_cognate_cnf(g, cands, sets)
+        cands = prepared(g)
+        cnf = encode_cognate_cnf(g, cands)
         assert cnf.counts["edge_exists"] == 2
         assert cnf.counts["edge_absent"] == 0
         assert cnf.counts["symmetry"] == 2
@@ -95,15 +99,15 @@ class TestCognateEncoding:
 
     def test_shared_endpoint_gives_one_uniqueness_clause(self):
         g = single_graph([("a1", "b1")], [("c1", "b1"), ("c2", "b1")])
-        cands, sets = prepared(g)
-        cnf = encode_cognate_cnf(g, cands, sets)
+        cands = prepared(g)
+        cnf = encode_cognate_cnf(g, cands)
         assert cnf.counts["uniqueness"] == 1
 
     def test_implication_expands_to_binary_clauses(self):
         # decision -> e1 and e2 must appear as two two-literal clauses
         g = single_graph([("a1", "b1")], [("c1", "b1")])
-        cands, sets = prepared(g)
-        cnf = encode_cognate_cnf(g, cands, sets)
+        cands = prepared(g)
+        cnf = encode_cognate_cnf(g, cands)
         cvar = cnf.registry.id_of(cognate_desc(cands[0].pair))
         implications = [
             c.literals
@@ -117,24 +121,22 @@ class TestCognateEncoding:
 
     def test_mm_drops_uniqueness_only(self):
         g = single_graph([("a1", "b1")], [("c1", "b1"), ("c2", "b1")])
-        cands, sets = prepared(g)
-        one = encode_cognate_cnf(g, cands, sets)
-        cands2, sets2 = prepared(g)
-        mm = encode_cognate_cnf(g, cands2, sets2, uniqueness=False)
+        cands = prepared(g)
+        one = encode_cognate_cnf(g, cands)
+        mm = encode_cognate_cnf(g, cands, uniqueness=False)
         assert mm.counts["uniqueness"] == 0
         assert len(one.hard) - len(mm.hard) == one.counts["uniqueness"]
         assert len(one.soft) == len(mm.soft)
 
     def test_empty_candidates_is_error(self):
         g = single_graph([("a1", "b1")], [("c1", "b1")])
-        _, sets = prepared(g)
         with pytest.raises(ValueError):
-            encode_cognate_cnf(g, [], sets)
+            encode_cognate_cnf(g, [])
 
     def test_soft_weights_match_owner_costs(self):
         g = single_graph(ASYM_AB, ASYM_CB)
-        cands, sets = prepared(g)
-        cnf = encode_cognate_cnf(g, cands, sets)
+        cands = prepared(g)
+        cnf = encode_cognate_cnf(g, cands)
         (partial,) = [c for c in cands if c.missing_edges]
         (sc,) = cnf.soft
         assert sc.weight == pytest.approx(partial.edge_cost, abs=1e-6)
@@ -148,12 +150,12 @@ class TestCognateEncoding:
             [("a1", "b1"), ("a2", "b2")],
             [("c1", "b1"), ("c1", "b2"), ("c2", "b1"), ("c2", "b2"), ("c2", "b3")],
         )
-        cands, sets = prepared(g)
+        cands = prepared(g)
         owners = [c for c in cands if (wa("a1"), wb("b2"), "AB") in c.missing_edges]
         assert len(owners) == 2
         assert owners[0].edge_cost != owners[1].edge_cost
         cheapest = min(o.edge_cost for o in owners)
-        cnf = encode_cognate_cnf(g, cands, sets)
+        cnf = encode_cognate_cnf(g, cands)
         evar = cnf.registry.id_of(edge_desc((wa("a1"), wb("b2"), "AB")))
         (sc,) = [c for c in cnf.soft if c.literals == (-evar,)]
         assert sc.weight == pytest.approx(cheapest, abs=1e-6)
@@ -166,10 +168,10 @@ class TestClauseCountClosedForms:
         for _ in range(40):
             d_ab, d_cb = random_dictionaries(rng)
             for g in build_transgraphs(d_ab, d_cb).graphs:
-                cands, sets = prepared(g)
+                cands = prepared(g)
                 if not cands:
                     continue
-                cnf = encode_cognate_cnf(g, cands, sets)
+                cnf = encode_cognate_cnf(g, cands)
                 assert cnf.counts["symmetry"] == 2 * sum(len(c.paths) for c in cands)
                 by_a, by_c = {}, {}
                 for c in cands:
@@ -182,49 +184,73 @@ class TestClauseCountClosedForms:
                 )
                 assert cnf.counts["uniqueness"] == expected
                 assert cnf.counts["edge_exists"] == len(g.edges)
-                assert cnf.counts["edge_absent"] == len(sets.new_edges)
+                assert cnf.counts["edge_absent"] == len(hypothesized(cands))
                 seen += 1
         assert seen >= 30
 
 
+def pick_one(cnf):
+    assert cnf.counts["pick_one"] == 1
+    return cnf.hard[-1].literals
+
+
 class TestUpdateAfterAcceptance:
+    """The stage formula encoded again with the decisions accepted so far."""
+
     def test_acceptance_hardens_edges(self):
         g = single_graph(ASYM_AB, ASYM_CB)
-        cands, sets = prepared(g)
-        cnf = encode_cognate_cnf(g, cands, sets)
+        cands = prepared(g)
         (partial,) = [c for c in cands if c.missing_edges]
-        n_soft = len(cnf.soft)
-        n_hard = len(cnf.hard)
-        update_after_acceptance(cnf, sets, partial)
-        assert len(cnf.soft) == n_soft - 1
-        # pool clause deleted or shrunk, plus 1 decision unit + 1 edge unit
-        assert partial.missing_edges[0] in sets.existing_edges
-        assert partial.missing_edges[0] not in sets.new_edges
-        assert partial.pair in sets.results
+        before = encode_cognate_cnf(g, cands)
+        after = encode_cognate_cnf(g, cands, [partial])
+        evar = after.registry.id_of(edge_desc(partial.missing_edges[0]))
+        assert (-evar,) in [c.literals for c in before.soft]
+        assert (-evar,) not in [c.literals for c in after.soft]
+        assert (evar,) in [c.literals for c in after.hard]
+        assert len(after.soft) == len(before.soft) - 1
+        assert after.counts["edge_exists"] == before.counts["edge_exists"] + 1
+
+    def test_accepted_decision_is_hard_unit(self):
+        g = single_graph([("a1", "b1")], [("c1", "b1"), ("c2", "b1")])
+        cands = prepared(g)
+        before = encode_cognate_cnf(g, cands, uniqueness=False)
+        after = encode_cognate_cnf(g, cands, [cands[0]], uniqueness=False)
+        cvar = after.registry.id_of(cognate_desc(cands[0].pair))
+        assert (cvar,) not in [c.literals for c in before.hard]
+        assert (cvar,) in [c.literals for c in after.hard]
+        assert after.counts["committed"] == 1
 
     def test_pool_shrinks_by_one(self):
         g = single_graph([("a1", "b1")], [("c1", "b1"), ("c2", "b1")])
-        cands, sets = prepared(g)
-        cnf = encode_cognate_cnf(g, cands, sets, uniqueness=False)
-        pool_before = cnf.hard[cnf.pool_index].literals
-        update_after_acceptance(cnf, sets, cands[0])
-        pool_after = cnf.hard[cnf.pool_index].literals
-        assert len(pool_after) == len(pool_before) - 1
+        cands = prepared(g)
+        before = encode_cognate_cnf(g, cands, uniqueness=False)
+        after = encode_cognate_cnf(g, cands, [cands[0]], uniqueness=False)
+        cvar = after.registry.id_of(cognate_desc(cands[0].pair))
+        assert set(pick_one(before)) - set(pick_one(after)) == {cvar}
+        assert len(pick_one(after)) == len(pick_one(before)) - 1
 
     def test_last_acceptance_empties_pool(self):
         g = single_graph([("a1", "b1")], [("c1", "b1")])
-        cands, sets = prepared(g)
-        cnf = encode_cognate_cnf(g, cands, sets)
-        update_after_acceptance(cnf, sets, cands[0])
-        assert cnf.pool_index is None
-
-    def test_double_accept_is_error(self):
-        g = single_graph([("a1", "b1")], [("c1", "b1"), ("c2", "b1")])
-        cands, sets = prepared(g)
-        cnf = encode_cognate_cnf(g, cands, sets, uniqueness=False)
-        update_after_acceptance(cnf, sets, cands[0])
+        cands = prepared(g)
         with pytest.raises(ValueError):
-            update_after_acceptance(cnf, sets, cands[0])
+            encode_cognate_cnf(g, cands, cands)
+
+    def test_encoding_is_pure(self):
+        rng = random.Random(31)
+        seen = 0
+        for _ in range(10):
+            d_ab, d_cb = random_dictionaries(rng)
+            for g in build_transgraphs(d_ab, d_cb).graphs:
+                cands = prepared(g, "H14")
+                if len(cands) < 2:
+                    continue
+                accepted = cands[:1]
+                kept = copy.deepcopy((cands, accepted))
+                one = wcnf_text(encode_cognate_cnf(g, cands, accepted))
+                assert wcnf_text(encode_cognate_cnf(g, cands, accepted)) == one
+                assert (cands, accepted) == kept
+                seen += 1
+        assert seen >= 5
 
 
 class TestSynonymEncoding:
@@ -236,19 +262,7 @@ class TestSynonymEncoding:
         st = run_cognate_stage(
             out.graph, out.candidates, HyperParams(cognate_threshold=threshold)
         )
-        # the encoder's set state after those acceptances
-        sets = PipelineSets(
-            existing_edges={e.key for e in out.graph.edges},
-            new_edges={k for c in out.candidates for k in c.missing_edges},
-            candidates=list(out.candidates),
-        )
-        cnf = encode_cognate_cnf(out.graph, out.candidates, sets)
-        for cand in st.candidates:
-            update_after_acceptance(cnf, sets, cand)
-        sets.rejected_candidates = [
-            c for c in out.candidates if c.pair not in sets.results
-        ]
-        return out.graph, sets
+        return out.graph, out.candidates, st.candidates
 
     def test_two_thirds_share_prices_the_single_missing_link(self):
         from pivotlex.encoding import encode_synonym_cnf
@@ -259,10 +273,10 @@ class TestSynonymEncoding:
             ("c1", "b1"), ("c1", "b2"), ("c1", "b3"),
             ("c2", "b1"), ("c2", "b2"),
         ]
-        g, sets = self._stage_one(ab, cb)
-        (syn,) = _synonym_candidates(g, sets.accepted_cognates)
+        g, cands, cognates = self._stage_one(ab, cb)
+        (syn,) = _synonym_candidates(g, cognates)
         assert syn.shared_prob == pytest.approx(2 / 3)
-        cnf = encode_synonym_cnf(g, sets, [syn])
+        cnf = encode_synonym_cnf(g, cands, cognates, [syn])
         (sc,) = cnf.soft
         assert sc.weight == pytest.approx(1 / 3, abs=1e-6)
 
@@ -274,14 +288,63 @@ class TestSynonymEncoding:
         cb = [(f"c1", f"b{i}") for i in range(1, 5)] + [
             ("c2", "b1"), ("c2", "b2"),
         ]
-        g, sets = self._stage_one(ab, cb)
-        (syn,) = _synonym_candidates(g, sets.accepted_cognates)
+        g, cands, cognates = self._stage_one(ab, cb)
+        (syn,) = _synonym_candidates(g, cognates)
         assert syn.shared_prob == pytest.approx(0.5)
         assert len(syn.missing_edges) == 2
-        cnf = encode_synonym_cnf(g, sets, [syn])
+        cnf = encode_synonym_cnf(g, cands, cognates, [syn])
         assert len(cnf.soft) == 2
         for sc in cnf.soft:
             assert sc.weight == pytest.approx(0.25, abs=1e-6)
+
+    def test_encoding_is_pure(self):
+        from pivotlex.encoding import encode_synonym_cnf
+        from pivotlex.pipeline import _synonym_candidates
+
+        ab = [(f"a1", f"b{i}") for i in range(1, 5)]
+        cb = [(f"c1", f"b{i}") for i in range(1, 5)] + [
+            ("c2", "b1"), ("c2", "b2"),
+        ]
+        g, cands, cognates = self._stage_one(ab, cb)
+        syn_cands = _synonym_candidates(g, cognates)
+        kept = copy.deepcopy((cands, cognates, syn_cands))
+        one = wcnf_text(encode_synonym_cnf(g, cands, cognates, syn_cands))
+        assert wcnf_text(encode_synonym_cnf(g, cands, cognates, syn_cands)) == one
+        assert (cands, cognates, syn_cands) == kept
+
+    def test_rejected_cognates_are_pinned_false(self):
+        from pivotlex.encoding import encode_synonym_cnf
+        from pivotlex.pipeline import _synonym_candidates
+
+        ab = [("a1", "b1"), ("a1", "b2"), ("a1", "b3")]
+        cb = [
+            ("c1", "b1"), ("c1", "b2"), ("c1", "b3"),
+            ("c2", "b1"), ("c2", "b2"),
+        ]
+        g, cands, cognates = self._stage_one(ab, cb)
+        rejected = [c for c in cands if c not in cognates]
+        assert cognates and rejected
+        cnf = encode_synonym_cnf(g, cands, cognates, _synonym_candidates(g, cognates))
+        units = [c.literals for c in cnf.hard if len(c.literals) == 1]
+        for cand in cands:
+            cvar = cnf.registry.id_of(cognate_desc(cand.pair))
+            assert ((cvar,) in units) == (cand in cognates)
+            assert ((-cvar,) in units) == (cand in rejected)
+        assert cnf.counts["non_cognate"] == len(rejected)
+
+    def test_every_synonym_accepted_gives_none(self):
+        from pivotlex.encoding import encode_synonym_cnf
+        from pivotlex.pipeline import _synonym_candidates
+
+        ab = [("a1", "b1"), ("a1", "b2"), ("a1", "b3")]
+        cb = [
+            ("c1", "b1"), ("c1", "b2"), ("c1", "b3"),
+            ("c2", "b1"), ("c2", "b2"),
+        ]
+        g, cands, cognates = self._stage_one(ab, cb)
+        syn_cands = _synonym_candidates(g, cognates)
+        assert encode_synonym_cnf(g, cands, cognates, syn_cands) is not None
+        assert encode_synonym_cnf(g, cands, cognates, syn_cands, syn_cands) is None
 
 
 class TestWcnfExport:
@@ -315,10 +378,10 @@ class TestWcnfExport:
         for _ in range(25):
             d_ab, d_cb = random_dictionaries(rng)
             for g in build_transgraphs(d_ab, d_cb).graphs:
-                cands, sets = prepared(g, "H14")
+                cands = prepared(g, "H14")
                 if not cands:
                     continue
-                cnf = encode_cognate_cnf(g, cands, sets)
+                cnf = encode_cognate_cnf(g, cands)
                 sink = io.StringIO()
                 export_wcnf(cnf, sink)
                 again = parse_wcnf(sink.getvalue())
@@ -329,8 +392,8 @@ class TestWcnfExport:
 
     def test_reparse_identical_text(self):
         g = single_graph(ASYM_AB, ASYM_CB)
-        cands, sets = prepared(g)
-        cnf = encode_cognate_cnf(g, cands, sets)
+        cands = prepared(g)
+        cnf = encode_cognate_cnf(g, cands)
         s1, s2 = io.StringIO(), io.StringIO()
         export_wcnf(cnf, s1)
         export_wcnf(parse_wcnf(s1.getvalue()), s2)

@@ -309,36 +309,26 @@ class TestRunPipeline:
     def test_each_acceptance_cost_verifiable(self):
         # replaying the cognate stage move by move, every optimum's cost
         # survives an independent assignment check
-        from pivotlex.encoding import (
-            PipelineSets,
-            cognate_desc,
-            encode_cognate_cnf,
-            update_after_acceptance,
-        )
+        from pivotlex.encoding import cognate_desc, encode_cognate_cnf
         from pivotlex.solver import check_assignment, solve
 
         rng = random.Random(23)
         d_ab, d_cb = random_dictionaries(rng)
         for g in build_transgraphs(d_ab, d_cb).graphs:
             out = run_cycles(g, parse_method("1:S:H14"))
-            if not out.candidates:
-                continue
-            sets = PipelineSets(
-                existing_edges={e.key for e in out.graph.edges},
-                new_edges={k for c in out.candidates for k in c.missing_edges},
-                candidates=list(out.candidates),
-            )
-            cnf = encode_cognate_cnf(out.graph, out.candidates, sets)
-            pool = {
-                cnf.registry.id_of(cognate_desc(c.pair)): c for c in out.candidates
-            }
-            while cnf.pool_index is not None:
+            accepted = []
+            while len(accepted) < len(out.candidates):
+                cnf = encode_cognate_cnf(out.graph, out.candidates, accepted)
                 opt = solve(cnf)
                 if opt is None:
                     break
                 assert check_assignment(cnf, opt.assignment) == opt.soft_cost
-                var = min(v for v in pool if opt.assignment[v])
-                update_after_acceptance(cnf, sets, pool.pop(var))
+                pool = {
+                    cnf.registry.id_of(cognate_desc(c.pair)): c
+                    for c in out.candidates
+                    if c not in accepted
+                }
+                accepted.append(pool[min(v for v in pool if opt.assignment[v])])
 
     def test_threshold_monotonicity(self):
         rng = random.Random(12)

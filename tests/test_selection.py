@@ -1,13 +1,11 @@
 """The pipeline's direct selection against the solver-driven reference.
 
-The reference loop below builds each stage's weighted MaxSAT formula
-once, then asks the exact solver for the optimum, accepts its fresh
-decision and hardens the formula, until the pool, the threshold or
-feasibility runs out. The pipeline reads the same optimum off directly;
-both must agree on every pair, cost, anchor, report and accepted candidate.
-The reference also checks what the pipeline's synonym stage assumes: after
-the cognate stage, the edges that exist are the graph's plus every missing
-edge of the accepted cognates.
+The reference loop below encodes each stage's weighted MaxSAT formula
+over the decisions accepted so far, asks the exact solver for the optimum
+and accepts its fresh decision, then encodes again, until the pool, the
+threshold or feasibility runs out. The pipeline reads the same optimum off
+directly; both must agree on every pair, cost, anchor, report and accepted
+candidate.
 """
 
 import random
@@ -16,12 +14,10 @@ import pytest
 
 from helpers import random_dictionaries
 from pivotlex.encoding import (
-    PipelineSets,
     cognate_desc,
     encode_cognate_cnf,
     encode_synonym_cnf,
     synonym_desc,
-    update_after_acceptance,
 )
 from pivotlex.heuristics import SynonymCandidate
 from pivotlex.pipeline import (
@@ -50,58 +46,60 @@ SYNONYM_THRESHOLDS = [None, 0.0, 0.3, 0.5, 1.0]
 RUNS_PER_METHOD = 400
 
 
-def solver_stage(cnf, sets, pool, threshold, stage, tg_id):
-    """Accept solver optima until the pool, the budget or feasibility runs out."""
-    accepted = []
-    while cnf.pool_index is not None:
+def solver_stage(encode, desc_of, candidates, threshold, stage, tg_id):
+    """Accept solver optima until the pool, the budget or feasibility runs out.
+
+    ``encode(accepted)`` builds the stage formula after the acceptances so far.
+    """
+    accepted, pairs = [], []
+    while len(accepted) < len(candidates):
+        cnf = encode(accepted)
         outcome = solve(cnf)
         if outcome is None:
-            return accepted, True
+            return accepted, pairs, True
         # the canonical optimum turns on exactly one fresh decision
-        (var,) = [v for v in pool if outcome.assignment[v]]
-        cand = pool.pop(var)
+        taken = {c.pair for c in accepted}
+        (cand,) = [
+            c
+            for c in candidates
+            if c.pair not in taken
+            and outcome.assignment[cnf.registry.id_of(desc_of(c.pair))]
+        ]
         cost = outcome.soft_cost
         if threshold is not None and not cost < threshold:
             break
-        update_after_acceptance(cnf, sets, cand)
+        accepted.append(cand)
         anchor = cand.anchor if isinstance(cand, SynonymCandidate) else None
-        accepted.append(InducedPair(cand.word_a, cand.word_c, stage, cost, tg_id, anchor))
-    return accepted, False
+        pairs.append(InducedPair(cand.word_a, cand.word_c, stage, cost, tg_id, anchor))
+    return accepted, pairs, False
 
 
 def reference_induce(tg, descriptor, hp):
     """One transgraph through the solver-driven stages, like _induce_one."""
     cyc = run_cycles(tg, descriptor)
-    sets = PipelineSets(
-        existing_edges={e.key for e in cyc.graph.edges},
-        new_edges={k for c in cyc.candidates for k in c.missing_edges},
-        candidates=list(cyc.candidates),
+    accepted, cognates, cog_unsat = solver_stage(
+        lambda acc: encode_cognate_cnf(
+            cyc.graph, cyc.candidates, acc, uniqueness=descriptor.method != "M"
+        ),
+        cognate_desc,
+        cyc.candidates,
+        hp.cognate_threshold,
+        COGNATE,
+        tg.id,
     )
-    cognates, cog_unsat = [], False
-    if cyc.candidates:
-        cnf = encode_cognate_cnf(
-            cyc.graph, cyc.candidates, sets, uniqueness=descriptor.method != "M"
-        )
-        pool = {cnf.registry.id_of(cognate_desc(c.pair)): c for c in cyc.candidates}
-        cognates, cog_unsat = solver_stage(
-            cnf, sets, pool, hp.cognate_threshold, COGNATE, tg.id
-        )
-        sets.rejected_candidates = [
-            c for c in cyc.candidates if c.pair not in sets.results
-        ]
-    assert sets.existing_edges == {e.key for e in cyc.graph.edges} | {
-        k for c in sets.accepted_cognates for k in c.missing_edges
-    }
-    accepted_cognates = [c.pair for c in sets.accepted_cognates]
-    synonyms, syn_unsat = [], False
+    syn_accepted, synonyms, syn_unsat = [], [], False
     if descriptor.method == "S":
-        syn_cands = _synonym_candidates(cyc.graph, sets.accepted_cognates)
-        cnf = encode_synonym_cnf(cyc.graph, sets, syn_cands)
-        if cnf is not None:
-            pool = {cnf.registry.id_of(synonym_desc(c.pair)): c for c in syn_cands}
-            synonyms, syn_unsat = solver_stage(
-                cnf, sets, pool, hp.synonym_threshold, SYNONYM, tg.id
-            )
+        syn_cands = _synonym_candidates(cyc.graph, accepted)
+        syn_accepted, synonyms, syn_unsat = solver_stage(
+            lambda acc: encode_synonym_cnf(
+                cyc.graph, cyc.candidates, accepted, syn_cands, acc
+            ),
+            synonym_desc,
+            syn_cands,
+            hp.synonym_threshold,
+            SYNONYM,
+            tg.id,
+        )
     report = TransgraphReport(
         transgraph_id=tg.id,
         cycles_run=cyc.cycles_run,
@@ -112,7 +110,11 @@ def reference_induce(tg, descriptor, hp):
         cognate_unsat=cog_unsat,
         synonym_unsat=syn_unsat,
     )
-    return (tg.id, cognates + synonyms, report), accepted_cognates, [p.pair for p in synonyms]
+    return (
+        (tg.id, cognates + synonyms, report),
+        [c.pair for c in accepted],
+        [c.pair for c in syn_accepted],
+    )
 
 
 def direct_candidates(tg, descriptor, hp):
