@@ -116,6 +116,8 @@ def _out(path: str):
 
 
 def _cmd_induce(args) -> int:
+    if args.synonym_threshold is not None and args.method.method != "S":
+        print("warning: --synonym-threshold has no effect without method S", file=sys.stderr)
     tset = _build_transgraphs(args)
     hp = HyperParams(args.cognate_threshold, args.synonym_threshold)
     result = induce_on_transgraphs(tset, args.method, hp, jobs=args.jobs)
@@ -236,12 +238,19 @@ def _cmd_stats(args) -> int:
 def _cmd_export_wcnf(args) -> int:
     tset = _build_transgraphs(args)
     descriptor = args.method
+    graphs = tset.graphs
+    if args.transgraph_id is not None:
+        tg_id = args.transgraph_id
+        graphs = [g for g in tset.graphs if g.id == tg_id]
+        if not graphs:
+            edges = dict(tset.skipped).get(tg_id)
+            why = "" if edges is None else (
+                f" (--max-edges {args.max_edges} skipped it, with {edges} edges)"
+            )
+            raise ValueError(f"no transgraph with id {tg_id}{why}")
     os.makedirs(args.out_dir, exist_ok=True)
-    wanted = None if args.transgraph_id is None else {args.transgraph_id}
     written = 0
-    for g in tset.graphs:
-        if wanted is not None and g.id not in wanted:
-            continue
+    for g in graphs:
         cyc = run_cycles(g, descriptor)
         if not cyc.candidates:
             continue

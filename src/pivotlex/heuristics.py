@@ -10,7 +10,10 @@ transgraph around it:
                              edges would add to that coexistence
   3. pivot_ambiguity      -- 1 minus the probability that the pair shares
                              exact senses given how polysemous its pivots are
-  4. form_similarity      -- longest-common-subsequence ratio of the spellings
+  4. form_similarity      -- longest-common-subsequence ratio of the spellings;
+                             the LCS length is computed bit-parallel (Allison
+                             & Dix 1986; Hyyro 2004), one big-integer step per
+                             character of one word instead of a table
 
 The combined edge cost turns these into the price of assuming one of the
 pair's missing edges.
@@ -236,16 +239,18 @@ def lcsr(a: str, b: str) -> float:
 
 
 def _lcs_len(a: str, b: str) -> int:
-    prev = [0] * (len(b) + 1)
-    for ch_a in a:
-        cur = [0] * (len(b) + 1)
-        for j, ch_b in enumerate(b, start=1):
-            if ch_a == ch_b:
-                cur[j] = prev[j - 1] + 1
-            else:
-                cur[j] = max(prev[j], cur[j - 1])
-        prev = cur
-    return prev[-1]
+    # bit-parallel LCS length (Allison & Dix 1986; Hyyro 2004): after each
+    # character of a, bit j of v is 0 exactly where the LCS of the prefix of
+    # a read so far with b[:j + 1] is one longer than with b[:j]
+    masks: dict[str, int] = {}
+    for j, ch in enumerate(b):
+        masks[ch] = masks.get(ch, 0) | (1 << j)
+    full = (1 << len(b)) - 1
+    v = full
+    for ch in a:
+        u = v & masks.get(ch, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def compute_edge_cost(cand: PairCandidate, sel: HeuristicSelection) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import io
 import unicodedata
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple
 
 
 class ParseError(ValueError):
@@ -38,16 +38,24 @@ def normalize_word(raw: str) -> str:
     return collapsed
 
 
-@dataclass(frozen=True, order=True)
-class Word:
-    """A surface form tagged with its language."""
-
+class _WordFields(NamedTuple):
     lang: str
     surface: str
 
-    def __post_init__(self):
-        if not self.surface:
+
+class Word(_WordFields):
+    """A surface form tagged with its language.
+
+    An immutable ``(lang, surface)`` tuple, so hashing, equality and
+    ordering run in C; its hash is ``hash((lang, surface))``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, lang: str, surface: str):
+        if not surface:
             raise ValueError("empty word surface")
+        return tuple.__new__(cls, (lang, surface))
 
 
 @dataclass(frozen=True)

@@ -276,7 +276,9 @@ def cognate_synonym_probability(tg: Transgraph, cognate, syn_word: Word) -> floa
     the graph as given (pass the post-acceptance graph for exact pipeline
     semantics). Accepts an InducedPair or a plain (word_a, word_c) tuple.
     """
-    wa, wc = cognate if isinstance(cognate, tuple) else (cognate.word_a, cognate.word_c)
+    # a Word is a (lang, surface) tuple, not a pair
+    is_pair = isinstance(cognate, tuple) and not isinstance(cognate, Word)
+    wa, wc = cognate if is_pair else (cognate.word_a, cognate.word_c)
     if syn_word.lang not in (wa.lang, wc.lang):
         raise ValueError(f"{syn_word} matches neither side of the cognate pair")
     anchor_pivots = set(tg.word_pivots.get(wa, ())) & set(tg.word_pivots.get(wc, ()))

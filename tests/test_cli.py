@@ -105,6 +105,25 @@ class TestInduce:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("method", ["1:C:H1", "1:M:H1"])
+    def test_synonym_threshold_without_method_s_warns(self, workdir, capsys, method):
+        outs = []
+        for extra in ([], ["--synonym-threshold", "0.5"]):
+            path = workdir / f"out{len(extra)}.tsv"
+            argv = ["induce", *dict_flags(workdir), "--method", method, *extra, "-o", str(path)]
+            assert main(argv) == 0
+            outs.append(path.read_bytes())
+        assert outs[0] == outs[1]
+        assert capsys.readouterr().err == (
+            "warning: --synonym-threshold has no effect without method S\n"
+        )
+
+    def test_synonym_threshold_with_method_s_is_silent(self, workdir, capsys):
+        out = workdir / "out.tsv"
+        argv = ["induce", *dict_flags(workdir), "--method", "1:S:H1", "--synonym-threshold", "0.5"]
+        assert main([*argv, "-o", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_non_positive_jobs_is_usage_error(self, workdir, capsys, jobs):
         out = workdir / "out.tsv"
@@ -408,6 +427,25 @@ class TestOtherCommands:
         assert files == ["tg0.wcnf", "tg1.wcnf"]
         first = (out_dir / "tg0.wcnf").read_text(encoding="utf-8")
         assert first.startswith("p wcnf ")
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--transgraph-id", "999"], "error: no transgraph with id 999\n"),
+            (
+                ["--transgraph-id", "0", "--max-edges", "3"],
+                "error: no transgraph with id 0 (--max-edges 3 skipped it, with 4 edges)\n",
+            ),
+        ],
+        ids=["unknown", "skipped"],
+    )
+    def test_export_wcnf_missing_transgraph_is_data_error(self, workdir, capsys, extra, message):
+        out_dir = workdir / "wcnf"
+        argv = ["export-wcnf", *dict_flags(workdir), "--method", "1:C:H1"]
+        code = main([*argv, "--out-dir", str(out_dir), *extra])
+        assert code == 2
+        assert capsys.readouterr().err.endswith(message)
+        assert not out_dir.exists()
 
     def test_unknown_command_is_usage_error(self):
         assert main(["frobnicate"]) == 1

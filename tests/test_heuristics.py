@@ -19,6 +19,7 @@ from pivotlex.heuristics import (
     compute_edge_cost,
     compute_tables,
     generate_candidates,
+    _lcs_len,
     joint_probability,
     lcsr,
     marginal_probability,
@@ -178,6 +179,46 @@ class TestLcsr:
     def test_one_only_for_equal_strings(self):
         assert lcsr("ab", "ba") < 1.0
         assert lcsr("ab", "abc") < 1.0
+
+
+def dp_lcs_len(a: str, b: str) -> int:
+    """The quadratic dynamic program: the reference for the bit-parallel LCS."""
+    prev = [0] * (len(b) + 1)
+    for ch_a in a:
+        cur = [0] * (len(b) + 1)
+        for j, ch_b in enumerate(b, start=1):
+            if ch_a == ch_b:
+                cur[j] = prev[j - 1] + 1
+            else:
+                cur[j] = max(prev[j], cur[j - 1])
+        prev = cur
+    return prev[-1]
+
+
+# small alphabets repeat characters; the last two hold non-ASCII letters and
+# combining marks, each of which the LCS counts as a character of its own
+LCS_ALPHABETS = [
+    "ab",
+    "abc",
+    "aeiou",
+    "abcdefghijklmnopqrstuvwxyz",
+    "aéøßñ漢字ı",
+    "ae\u0301\u0308\u0327n\u0303",
+]
+
+
+def test_bit_parallel_lcs_matches_dynamic_program():
+    rng = random.Random(20201006)
+    longest = 0
+    for i in range(10_000):
+        alphabet = LCS_ALPHABETS[i % len(LCS_ALPHABETS)]
+        a = "".join(rng.choices(alphabet, k=rng.randint(1, 80)))
+        b = "".join(rng.choices(alphabet, k=rng.randint(1, 80)))
+        want = dp_lcs_len(a, b)
+        assert _lcs_len(a, b) == want, (a, b)
+        assert _lcs_len(b, a) == want, (b, a)
+        longest = max(longest, len(a), len(b))
+    assert longest > 64  # masks wider than one machine word
 
 
 class TestHeuristicSelection:

@@ -1,4 +1,5 @@
 import io
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -98,6 +99,35 @@ class TestParseDictionary:
     def test_accepts_stream(self):
         d = parse_dictionary(io.StringIO("a\tx\n"), "aaa", "bbb")
         assert len(d) == 1
+
+
+class TestWord:
+    def test_empty_surface_rejected(self):
+        with pytest.raises(ValueError):
+            Word("aaa", "")
+
+    def test_immutable(self):
+        w = Word("aaa", "x")
+        with pytest.raises(AttributeError):
+            w.surface = "y"
+        with pytest.raises(AttributeError):
+            w.extra = 1
+
+    def test_equality_order_and_hash_follow_lang_then_surface(self):
+        words = [Word("bbb", "a"), Word("aaa", "z"), Word("aaa", "b")]
+        assert sorted(words) == [Word("aaa", "b"), Word("aaa", "z"), Word("bbb", "a")]
+        assert Word("aaa", "x") == Word("aaa", "x")
+        assert Word("aaa", "x") != Word("bbb", "x")
+        for w in words:
+            assert hash(w) == hash((w.lang, w.surface))
+
+    def test_pickle_round_trip(self):
+        w = Word("aaa", "ŝe")
+        back = pickle.loads(pickle.dumps(w))
+        assert back == w and type(back) is Word
+
+    def test_repr(self):
+        assert repr(Word("aaa", "x")) == "Word(lang='aaa', surface='x')"
 
 
 class TestDictionaryInvariants:
