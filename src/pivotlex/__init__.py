@@ -15,9 +15,6 @@ from .evaluation import (
 from .heuristics import (
     HeuristicSelection,
     PairCandidate,
-    compute_cognate_probabilities,
-    compute_edge_cost,
-    compute_tables,
     generate_candidates,
     lcsr,
 )
@@ -83,9 +80,6 @@ __all__ = [
     "check_assignment",
     "cognate_synonym_probability",
     "component_stats",
-    "compute_cognate_probabilities",
-    "compute_edge_cost",
-    "compute_tables",
     "cross_validate",
     "filter_big",
     "generate_candidates",

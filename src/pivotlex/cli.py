@@ -20,6 +20,7 @@ from .lexicon import (
     parse_gold_standard,
     parse_pair_file,
     invert_dictionary,
+    validate_lang,
     write_pair_set,
     write_result_pairs,
 )
@@ -34,11 +35,19 @@ from .pipeline import (
 from .transgraph import build_transgraphs, component_stats, filter_big
 
 
-def _method_arg(text: str):
-    try:
-        return parse_method(text)
-    except ValueError as exc:  # surface the grammar message through argparse
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+def _parsed(parse):
+    """An argparse type: `parse(text)`, whose ValueError is a usage error."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:  # surface the parser's message through argparse
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+
+    return convert
+
+
+_method_arg = _parsed(parse_method)
+_LANG = _parsed(validate_lang)
 
 
 def _checked(kind, ok, want: str):
@@ -67,9 +76,9 @@ def _add_dict_args(p: argparse.ArgumentParser) -> None:
         action="store_true",
         help="treat --dict-cb as B->C and invert it",
     )
-    p.add_argument("--lang-a", default="a", help="language tag of side A")
-    p.add_argument("--lang-b", default="b", help="language tag of the pivot")
-    p.add_argument("--lang-c", default="c", help="language tag of side C")
+    p.add_argument("--lang-a", type=_LANG, default="a", help="language tag of side A")
+    p.add_argument("--lang-b", type=_LANG, default="b", help="language tag of the pivot")
+    p.add_argument("--lang-c", type=_LANG, default="c", help="language tag of side C")
     p.add_argument(
         "--no-normalize",
         action="store_true",
@@ -302,8 +311,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--result", required=True)
     p.add_argument("--gold", required=True)
     p.add_argument("--beta", type=_BETA, default=1.0)
-    p.add_argument("--lang-a", default="a")
-    p.add_argument("--lang-c", default="c")
+    p.add_argument("--lang-a", type=_LANG, default="a")
+    p.add_argument("--lang-c", type=_LANG, default="c")
     p.add_argument("--no-normalize", action="store_true")
     p.set_defaults(func=_cmd_eval)
 

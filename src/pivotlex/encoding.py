@@ -122,7 +122,7 @@ def _edge_weights(cands: Sequence) -> dict[EdgeKey, float]:
     """Per-edge soft weight: the cheapest cost among the candidates wanting it."""
     weights: dict[EdgeKey, float] = {}
     for cand in cands:
-        w = _per_edge_cost(cand)
+        w = cand.edge_cost
         for key in cand.missing_edges:
             if key not in weights or w < weights[key]:
                 weights[key] = w
@@ -132,14 +132,6 @@ def _edge_weights(cands: Sequence) -> dict[EdgeKey, float]:
 def edge_micro_weights(cands: Sequence) -> dict[EdgeKey, int]:
     """The soft weight, in micro-units, that the stage formula gives each edge."""
     return {key: micro_units(w) for key, w in _edge_weights(cands).items()}
-
-
-def _per_edge_cost(cand) -> float:
-    if isinstance(cand, SynonymCandidate):
-        if not cand.missing_edges:
-            return 0.0
-        return (1.0 - cand.shared_prob) / len(cand.missing_edges)
-    return cand.edge_cost
 
 
 def _edge_clauses(

@@ -81,16 +81,16 @@ class StageRuns:
             cyc.graph, cyc.candidates, HyperParams(), descriptor.method != "M"
         )
         self.with_synonyms = descriptor.method == "S"
-        self._synonyms: dict[int, list[InducedPair]] = {}  # by cognate prefix length
+        self._synonyms: dict[int, tuple[InducedPair, ...]] = {}  # by cognate prefix length
 
-    def pairs(self, ct: float | None, st: float | None) -> list[InducedPair]:
+    def pairs(self, ct: float | None, st: float | None) -> tuple[InducedPair, ...]:
         """The pairs a run at thresholds (ct, st) accepts, in order."""
         k = _kept(self.cognates.accepted, ct)
         if self.with_synonyms and k not in self._synonyms:
             cognates = self.cognates.candidates[:k]
             stage = run_synonym_stage(self.graph, cognates, HyperParams())
             self._synonyms[k] = stage.accepted
-        synonyms = self._synonyms.get(k, [])
+        synonyms = self._synonyms.get(k, ())
         return self.cognates.accepted[:k] + synonyms[: _kept(synonyms, st)]
 
 

@@ -15,14 +15,17 @@ transgraph around it:
                              & Dix 1986; Hyyro 2004), one big-integer step per
                              character of one word instead of a table
 
-The combined edge cost turns these into the price of assuming one of the
-pair's missing edges.
+The combined edge cost turns the selected signals into the price of
+assuming one of the pair's missing edges. generate_candidates scores each
+pair once, as it enumerates it, into an immutable PairCandidate; the form
+similarity is computed only when it is selected.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 from .lexicon import Word
 from .transgraph import SIDE_AB, SIDE_BC, EdgeKey, Transgraph
@@ -45,20 +48,19 @@ class Path:
         return self.has_ab and self.has_bc
 
 
-@dataclass
-class PairCandidate:
-    """An (A-word, C-word) translation pair candidate and its scores."""
+class PairCandidate(NamedTuple):
+    """An (A-word, C-word) translation pair candidate, scored and immutable.
+
+    ``paths`` covers every pivot of either word, in pivot order;
+    ``edge_cost`` is the price of each of the missing edges.
+    """
 
     word_a: Word
     word_c: Word
-    paths: list[Path]
-    missing_edges: tuple[EdgeKey, ...] = ()
-    coexistence: float = 0.0
-    missing_contribution: float = 0.0
-    pivot_ambiguity: float = 0.0
-    form_similarity: float = 0.0
-    shared_sense_prob: float = 1.0
-    edge_cost: float = 0.0
+    paths: tuple[Path, ...]
+    missing_edges: tuple[EdgeKey, ...]
+    coexistence: float
+    edge_cost: float
 
     @property
     def pair(self) -> tuple[Word, Word]:
@@ -79,6 +81,13 @@ class SynonymCandidate:
     @property
     def pair(self) -> tuple[Word, Word]:
         return (self.word_a, self.word_c)
+
+    @property
+    def edge_cost(self) -> float:
+        """The leftover improbability, spread evenly over the missing edges."""
+        if not self.missing_edges:
+            return 0.0
+        return (1.0 - self.shared_prob) / len(self.missing_edges)
 
 
 _HEURISTIC_FIELDS = {
@@ -154,13 +163,15 @@ def compute_tables(tg: Transgraph) -> ConditionalTables:
     return ConditionalTables(from_a, from_c, from_pivot)
 
 
-def generate_candidates(tg: Transgraph) -> list[PairCandidate]:
-    """Enumerate pairs joined by at least one complete pivot path.
+def generate_candidates(tg: Transgraph, sel: HeuristicSelection) -> list[PairCandidate]:
+    """Enumerate and score pairs joined by at least one complete pivot path.
 
     A candidate's path list covers every pivot adjacent to either of its
     words; pivots adjacent to only one side become incomplete paths whose
-    absent edge is recorded in missing_edges. Output is ordered by pair.
+    absent edge is recorded in missing_edges. Each pair is priced under
+    ``sel`` against the graph as given. Output is ordered by pair.
     """
+    tables = compute_tables(tg)
     out: list[PairCandidate] = []
     for a in sorted(tg.a_words):
         pivots_a = set(tg.word_pivots.get(a, ()))
@@ -179,9 +190,10 @@ def generate_candidates(tg: Transgraph) -> list[PairCandidate]:
                     missing.append((a, b, SIDE_AB))
                 if not has_bc:
                     missing.append((c, b, SIDE_BC))
-            out.append(
-                PairCandidate(a, c, paths, tuple(sorted(missing)))
-            )
+            missing.sort()
+            coex, miss, amb = compute_cognate_probabilities(a, c, paths, missing, tables)
+            cost = compute_edge_cost(sel, coex, miss, amb, a.surface, c.surface)
+            out.append(PairCandidate(a, c, tuple(paths), tuple(missing), coex, cost))
     return out
 
 
@@ -190,25 +202,30 @@ _MAX_SENSE_EXPONENT = 62
 
 
 def compute_cognate_probabilities(
-    cand: PairCandidate, tables: ConditionalTables
-) -> PairCandidate:
-    """Fill in the four heuristic scores for one candidate.
+    a: Word,
+    c: Word,
+    paths: Sequence[Path],
+    missing_edges: Sequence[EdgeKey],
+    tables: ConditionalTables,
+) -> tuple[float, float, float]:
+    """Heuristics 1-3 of (a, c): (coexistence, missing_contribution, pivot_ambiguity).
 
     Complete paths feed the coexistence product; incomplete paths feed the
-    missing-contribution difference, with the candidate's own hypothesized
+    missing-contribution difference, with the pair's own hypothesized
     edges counted as existing (at probability 1) in those denominators only.
+    The pivot ambiguity is 1 minus the probability that the pair shares
+    exact senses.
     """
-    if not cand.paths:
-        raise ValueError(f"candidate {cand.pair} has no paths")
-    a, c = cand.word_a, cand.word_c
-    hyp_ab = {pv for (_, pv, side) in cand.missing_edges if side == SIDE_AB}
-    hyp_bc = {pv for (_, pv, side) in cand.missing_edges if side == SIDE_BC}
+    if not paths:
+        raise ValueError(f"candidate {(a, c)} has no paths")
+    hyp_ab = {pv for (_, pv, side) in missing_edges if side == SIDE_AB}
+    hyp_bc = {pv for (_, pv, side) in missing_edges if side == SIDE_BC}
     sup_from_pivot_a = tables.from_pivot.get(a, 0.0) + len(hyp_ab)
     sup_from_pivot_c = tables.from_pivot.get(c, 0.0) + len(hyp_bc)
 
     p_ac = p_ca = miss_ac = miss_ca = 0.0
     shared = 1.0
-    for path in cand.paths:
+    for path in paths:
         b = path.pivot
         if path.complete:
             p_ac += (1.0 / tables.from_a[b]) * (1.0 / tables.from_pivot[c])
@@ -223,12 +240,9 @@ def compute_cognate_probabilities(
             miss_ac += (1.0 / sup_a_b) * (1.0 / sup_from_pivot_c)
             miss_ca += (1.0 / sup_c_b) * (1.0 / sup_from_pivot_a)
 
-    cand.coexistence = p_ac * p_ca
-    cand.missing_contribution = (p_ac + miss_ac) * (p_ca + miss_ca) - p_ac * p_ca
-    cand.shared_sense_prob = shared
-    cand.pivot_ambiguity = 1.0 - shared
-    cand.form_similarity = lcsr(a.surface, c.surface)
-    return cand
+    coexistence = p_ac * p_ca
+    missing_contribution = (p_ac + miss_ac) * (p_ca + miss_ca) - coexistence
+    return coexistence, missing_contribution, 1.0 - shared
 
 
 def lcsr(a: str, b: str) -> float:
@@ -253,22 +267,29 @@ def _lcs_len(a: str, b: str) -> int:
     return len(b) - v.bit_count()
 
 
-def compute_edge_cost(cand: PairCandidate, sel: HeuristicSelection) -> float:
-    """Price of assuming one of the candidate's missing edges.
+def compute_edge_cost(
+    sel: HeuristicSelection,
+    coexistence: float,
+    missing_contribution: float,
+    pivot_ambiguity: float,
+    surface_a: str,
+    surface_c: str,
+) -> float:
+    """Price of assuming one of a pair's missing edges under ``sel``.
 
-    Form dissimilarity is capped at 1/100 of a full heuristic unit so it
-    only breaks ties between otherwise equal candidates.
+    Form dissimilarity, the spellings' LCS ratio computed only under H4,
+    is capped at 1/100 of a full heuristic unit so it only breaks ties
+    between otherwise equal candidates.
     """
     cost = 0.0
     if sel.coexistence:
-        cost += 1.0 - cand.coexistence
+        cost += 1.0 - coexistence
     if sel.missing_contribution:
-        cost += cand.missing_contribution
+        cost += missing_contribution
     if sel.pivot_ambiguity:
-        cost += cand.pivot_ambiguity
+        cost += pivot_ambiguity
     if sel.form_similarity:
-        cost += (1.0 - cand.form_similarity) / 100.0
-    cand.edge_cost = cost
+        cost += (1.0 - lcsr(surface_a, surface_c)) / 100.0
     return cost
 
 

@@ -21,7 +21,9 @@ edges weigh least, ties going to the decision with the highest variable
 id, i.e. the last pair. The formula and the solver remain the exact
 reference that the tests compare this selection with.
 
-Stages pass data, not shared state: a stage returns the candidates it
+Stages pass data, not shared state. Each scoring round is one pure pass,
+heuristics.generate_candidates, that returns immutable, fully priced
+candidates; a stage returns, as a frozen record, the candidates it
 accepted, in order. The synonym stage depends only on the graph and the
 accepted cognates: each of those leaves all of its missing edges existing,
 and its pivots anchor the synonym search. A stage run at threshold t makes
@@ -43,9 +45,6 @@ from .heuristics import (
     HeuristicSelection,
     PairCandidate,
     SynonymCandidate,
-    compute_cognate_probabilities,
-    compute_edge_cost,
-    compute_tables,
     generate_candidates,
 )
 from .lexicon import BilingualDictionary, PairSet, Word
@@ -57,7 +56,6 @@ from .transgraph import (
     TransgraphSet,
     add_new_edges,
     build_transgraphs,
-    edge_sort_key,
     filter_big,
 )
 
@@ -123,19 +121,19 @@ class InducedPair:
         return (self.word_a, self.word_c)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CycleResult:
     graph: Transgraph
-    candidates: list[PairCandidate]
+    candidates: tuple[PairCandidate, ...]
     cycles_run: int
     fixpoint: bool
 
 
-@dataclass
+@dataclass(frozen=True)
 class StageOutcome:
-    accepted: list[InducedPair]
+    accepted: tuple[InducedPair, ...]
     # the candidates behind `accepted`, in acceptance order
-    candidates: list[PairCandidate | SynonymCandidate]
+    candidates: tuple[PairCandidate | SynonymCandidate, ...]
     hard_unsat: bool
 
 
@@ -160,26 +158,16 @@ class InductionResult:
     skipped: list[tuple[int, int]] = field(default_factory=list)
 
 
-def _scored_candidates(
-    graph: Transgraph, sel: HeuristicSelection
-) -> list[PairCandidate]:
-    tables = compute_tables(graph)
-    cands = generate_candidates(graph)
-    for cand in cands:
-        compute_cognate_probabilities(cand, tables)
-        compute_edge_cost(cand, sel)
-    return cands
-
-
 def run_cycles(tg: Transgraph, descriptor: MethodDescriptor) -> CycleResult:
     """Alternate candidate scoring and edge materialization.
 
     Runs descriptor.cycle scoring rounds, materializing the missing edges
     between rounds, and stops early once a round would add nothing. The
-    returned candidates are scored against the final graph.
+    returned candidates are scored once, against the final graph, under
+    the descriptor's heuristics.
     """
     graph = tg
-    candidates = _scored_candidates(graph, descriptor.heuristics)
+    candidates = generate_candidates(graph, descriptor.heuristics)
     cycles = 1
     fixpoint = not any(c.missing_edges for c in candidates)
     for cyc in range(2, descriptor.cycle + 1):
@@ -188,10 +176,10 @@ def run_cycles(tg: Transgraph, descriptor: MethodDescriptor) -> CycleResult:
             fixpoint = True
             break
         graph = grown
-        candidates = _scored_candidates(graph, descriptor.heuristics)
+        candidates = generate_candidates(graph, descriptor.heuristics)
         cycles = cyc
         fixpoint = not any(c.missing_edges for c in candidates)
-    return CycleResult(graph, candidates, cycles, fixpoint)
+    return CycleResult(graph, tuple(candidates), cycles, fixpoint)
 
 
 def _run_stage(
@@ -227,7 +215,8 @@ def _run_stage(
     hardened: set[EdgeKey] = set()
     used_a: set[Word] = set()
     used_c: set[Word] = set()
-    out = StageOutcome([], [], False)
+    accepted: list[InducedPair] = []
+    chosen: list[PairCandidate | SynonymCandidate] = []
     while heap:
         micro, neg_rank = heapq.heappop(heap)
         i = -neg_rank
@@ -239,7 +228,7 @@ def _run_stage(
             continue
         value = micro / MICRO
         if threshold is not None and not value < threshold:
-            return out
+            return StageOutcome(tuple(accepted), tuple(chosen), False)
         for key in cand.missing_edges:
             if key in hardened:
                 continue
@@ -252,17 +241,14 @@ def _run_stage(
             used_a.add(cand.word_a)
             used_c.add(cand.word_c)
         anchor = cand.anchor if isinstance(cand, SynonymCandidate) else None
-        out.accepted.append(
-            InducedPair(cand.word_a, cand.word_c, stage, value, tg_id, anchor)
-        )
-        out.candidates.append(cand)
-    out.hard_unsat = len(out.accepted) < len(ranked)
-    return out
+        accepted.append(InducedPair(cand.word_a, cand.word_c, stage, value, tg_id, anchor))
+        chosen.append(cand)
+    return StageOutcome(tuple(accepted), tuple(chosen), len(accepted) < len(ranked))
 
 
 def run_cognate_stage(
     tg: Transgraph,
-    candidates: list[PairCandidate],
+    candidates: Sequence[PairCandidate],
     hp: HyperParams,
     one_to_one: bool = True,
 ) -> StageOutcome:
@@ -274,11 +260,10 @@ def cognate_synonym_probability(tg: Transgraph, cognate, syn_word: Word) -> floa
 
     The cognate's pivots are those connected to both of its endpoints in
     the graph as given (pass the post-acceptance graph for exact pipeline
-    semantics). Accepts an InducedPair or a plain (word_a, word_c) tuple.
+    semantics). Accepts anything with a ``pair``, such as an InducedPair or
+    a PairCandidate, or a plain (word_a, word_c) tuple.
     """
-    # a Word is a (lang, surface) tuple, not a pair
-    is_pair = isinstance(cognate, tuple) and not isinstance(cognate, Word)
-    wa, wc = cognate if is_pair else (cognate.word_a, cognate.word_c)
+    wa, wc = getattr(cognate, "pair", cognate)
     if syn_word.lang not in (wa.lang, wc.lang):
         raise ValueError(f"{syn_word} matches neither side of the cognate pair")
     anchor_pivots = set(tg.word_pivots.get(wa, ())) & set(tg.word_pivots.get(wc, ()))
@@ -320,7 +305,8 @@ def _synonym_candidates(
 
     for anchor in sorted(cognates, key=lambda c: c.pair):
         wa, wc = anchor.pair
-        pivots = tuple(sorted(p.pivot for p in anchor.paths))
+        # paths, and so the pivots, come in pivot order
+        pivots = tuple(p.pivot for p in anchor.paths)
         for side, seed_word, neighbours in (
             (SIDE_BC, wc, pivot_c),
             (SIDE_AB, wa, pivot_a),
@@ -334,12 +320,8 @@ def _synonym_candidates(
                 if pair in taken:
                     continue
                 linked = sum(1 for b in pivots if b in word_pivots.get(w, ()))
-                missing = tuple(
-                    sorted(
-                        ((w, b, side) for b in pivots if (w, b, side) not in present),
-                        key=edge_sort_key,
-                    )
-                )
+                # word and side are fixed, so pivot order is edge_sort_key order
+                missing = tuple((w, b, side) for b in pivots if (w, b, side) not in present)
                 offer(
                     SynonymCandidate(
                         word_a=pair[0],
@@ -368,7 +350,7 @@ def _induce_one(args) -> tuple[int, list[InducedPair], TransgraphReport]:
         cyc.graph, cyc.candidates, hp, one_to_one=descriptor.method != "M"
     )
     pairs = list(st1.accepted)
-    synonyms: list[InducedPair] = []
+    synonyms: tuple[InducedPair, ...] = ()
     syn_unsat = False
     if descriptor.method == "S":
         st2 = run_synonym_stage(cyc.graph, st1.candidates, hp)
@@ -403,10 +385,12 @@ def induce_on_transgraphs(
     graphs = sorted(tset.graphs, key=lambda g: g.id)
     tasks = [(g, descriptor, hp) for g in graphs]
     if jobs > 1 and len(tasks) > 1:
+        # fork starts every worker at the first submit: start none to idle
+        workers = min(jobs, len(tasks))
         # a few chunks per worker: a round trip to a worker per graph costs
         # more than inducing a small graph
-        chunk = math.ceil(len(tasks) / (4 * jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as executor:
+        chunk = math.ceil(len(tasks) / (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as executor:
             outputs = list(executor.map(_induce_one, tasks, chunksize=chunk))
     else:
         outputs = [_induce_one(t) for t in tasks]

@@ -22,7 +22,6 @@ from pivotlex.evaluation import paired_t_test, score, t_cdf
 from pivotlex.heuristics import (
     HeuristicSelection,
     compute_cognate_probabilities,
-    compute_edge_cost,
     compute_tables,
     generate_candidates,
     joint_probability,
@@ -74,11 +73,13 @@ def test_criterion_2_probability_fixtures():
     assert joint_probability(g, wa("a1"), wb("b1")) == 1 / 3
 
     chain = single_graph([("a1", "b1")], [("c1", "b1")])
-    (cand,) = generate_candidates(chain)
-    compute_cognate_probabilities(cand, compute_tables(chain))
-    assert cand.coexistence == 1.0
-    assert cand.missing_contribution == 0.0
-    assert cand.pivot_ambiguity == 0.0
+    (cand,) = generate_candidates(chain, HeuristicSelection.from_token("H1"))
+    coexistence, missing_contribution, pivot_ambiguity = compute_cognate_probabilities(
+        cand.word_a, cand.word_c, cand.paths, cand.missing_edges, compute_tables(chain)
+    )
+    assert coexistence == 1.0
+    assert missing_contribution == 0.0
+    assert pivot_ambiguity == 0.0
     note("[PASS] criterion 2: marginal 2/3, joint 1/3; symmetric pair -> 1, 0, 0")
 
 
@@ -142,13 +143,7 @@ def test_criterion_4_solver_oracle_equivalence():
 
 
 def _prepared(graph):
-    sel = HeuristicSelection.from_token("H14")
-    tables = compute_tables(graph)
-    cands = generate_candidates(graph)
-    for c in cands:
-        compute_cognate_probabilities(c, tables)
-        compute_edge_cost(c, sel)
-    return cands
+    return generate_candidates(graph, HeuristicSelection.from_token("H14"))
 
 
 def test_criterion_5_constraint_count_closed_forms():

@@ -339,6 +339,24 @@ def test_out_of_range_option_is_usage_error(workdir, capsys, argv):
     assert "must be" in capsys.readouterr().err
 
 
+LANG_CASES = [
+    pytest.param(command, flag, id=" ".join([*(w for w in command[:2] if w[0] != "-"), flag]))
+    for command in [*MAX_EDGES_COMMANDS, ["baseline", "ic", "-o", "ic.tsv"]]
+    for flag in ("--lang-a", "--lang-b", "--lang-c")
+] + [pytest.param(["eval"], flag, id=f"eval {flag}") for flag in ("--lang-a", "--lang-c")]
+
+
+@pytest.mark.parametrize("value", ["MIN", ""])
+@pytest.mark.parametrize("command, flag", LANG_CASES)
+def test_malformed_language_tag_is_usage_error(workdir, capsys, monkeypatch, command, flag, value):
+    monkeypatch.chdir(workdir)
+    argv = _eval_command(workdir) if command == ["eval"] else [*command, *dict_flags(workdir)]
+    assert main([*argv, flag, value]) == 1
+    captured = capsys.readouterr()
+    assert "invalid language tag" in captured.err
+    assert captured.out == ""
+
+
 def test_more_folds_than_graphs_is_data_error(workdir):
     assert main([*SCORING_COMMANDS["cv"](workdir), "--folds", "3"]) == 2
 

@@ -18,25 +18,13 @@ from pivotlex.encoding import (
     parse_wcnf,
     soft_clause,
 )
-from pivotlex.heuristics import (
-    HeuristicSelection,
-    compute_cognate_probabilities,
-    compute_edge_cost,
-    compute_tables,
-    generate_candidates,
-)
+from pivotlex.heuristics import HeuristicSelection, generate_candidates
 from pivotlex.solver import solve
 from pivotlex.transgraph import build_transgraphs
 
 
 def prepared(graph, token="H1"):
-    sel = HeuristicSelection.from_token(token)
-    tables = compute_tables(graph)
-    cands = generate_candidates(graph)
-    for c in cands:
-        compute_cognate_probabilities(c, tables)
-        compute_edge_cost(c, sel)
-    return cands
+    return generate_candidates(graph, HeuristicSelection.from_token(token))
 
 
 def hypothesized(cands):

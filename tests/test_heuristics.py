@@ -14,6 +14,7 @@ from helpers import (
 )
 from pivotlex.heuristics import (
     HeuristicSelection,
+    PairCandidate,
     Path,
     compute_cognate_probabilities,
     compute_edge_cost,
@@ -27,18 +28,22 @@ from pivotlex.heuristics import (
 from pivotlex.transgraph import SIDE_AB, SIDE_BC, build_transgraphs
 
 
+H1 = HeuristicSelection.from_token("H1")
+
+
 def scored(graph):
+    """Each candidate's (coexistence, missing_contribution, pivot_ambiguity)."""
     tables = compute_tables(graph)
-    cands = generate_candidates(graph)
-    for c in cands:
-        compute_cognate_probabilities(c, tables)
-    return {c.pair: c for c in cands}
+    return {
+        c.pair: compute_cognate_probabilities(c.word_a, c.word_c, c.paths, c.missing_edges, tables)
+        for c in generate_candidates(graph, H1)
+    }
 
 
 class TestGenerateCandidates:
     def test_asymmetric_shape_paths(self):
         g = single_graph(ASYM_AB, ASYM_CB)
-        cands = {c.pair: c for c in generate_candidates(g)}
+        cands = {c.pair: c for c in generate_candidates(g, H1)}
         full = cands[(wa("a1"), wc("c1"))]
         assert [p.complete for p in full.paths] == [True, True]
         assert full.missing_edges == ()
@@ -51,7 +56,7 @@ class TestGenerateCandidates:
 
     def test_single_chain(self):
         g = single_graph([("a1", "b1")], [("c1", "b1")])
-        (cand,) = generate_candidates(g)
+        (cand,) = generate_candidates(g, H1)
         assert cand.pair == (wa("a1"), wc("c1"))
         assert len(cand.paths) == 1 and cand.paths[0].complete
 
@@ -60,13 +65,23 @@ class TestGenerateCandidates:
 
         tset = build_transgraphs(dict_ab(("a1", "b1")), dict_cb(("c1", "b2")))
         for g in tset.graphs:
-            assert generate_candidates(g) == []
+            assert generate_candidates(g, H1) == []
+
+    def test_candidates_are_immutable(self):
+        (cand,) = generate_candidates(single_graph([("a1", "b1")], [("c1", "b1")]), H1)
+        for name in ("coexistence", "edge_cost", "paths", "missing_edges"):
+            with pytest.raises(AttributeError):
+                setattr(cand, name, getattr(cand, name))
+
+    def test_candidate_needs_its_scores(self):
+        with pytest.raises(TypeError):
+            PairCandidate(wa("a1"), wc("c1"), (Path(wb("b1"), True, True),), (), 1.0)
 
     def test_ordering_deterministic(self):
         g = single_graph(
             [("a2", "b1"), ("a1", "b1")], [("c2", "b1"), ("c1", "b1")]
         )
-        pairs = [c.pair for c in generate_candidates(g)]
+        pairs = [c.pair for c in generate_candidates(g, H1)]
         assert pairs == sorted(pairs)
 
 
@@ -79,46 +94,49 @@ class TestPath:
 class TestCognateProbabilities:
     def test_symmetric_unambiguous_pair(self):
         g = single_graph([("a1", "b1")], [("c1", "b1")])
-        cand = scored(g)[(wa("a1"), wc("c1"))]
-        assert cand.coexistence == 1.0
-        assert cand.missing_contribution == 0.0
-        assert cand.pivot_ambiguity == 0.0
+        coexistence, missing_contribution, pivot_ambiguity = scored(g)[(wa("a1"), wc("c1"))]
+        assert coexistence == 1.0
+        assert missing_contribution == 0.0
+        assert pivot_ambiguity == 0.0
 
     def test_asymmetric_shape_values(self):
         # full pair: A->C direction 1/2+1/2, C->A 1/4+1/2 -> 1 * 3/4
         cands = scored(single_graph(ASYM_AB, ASYM_CB))
-        full = cands[(wa("a1"), wc("c1"))]
-        assert full.coexistence == pytest.approx(0.75, abs=1e-12)
-        assert full.missing_contribution == pytest.approx(0.0, abs=1e-12)
-        partial = cands[(wa("a1"), wc("c2"))]
-        assert partial.coexistence == pytest.approx(0.25, abs=1e-12)
-        assert partial.missing_contribution == pytest.approx(0.5, abs=1e-12)
+        full_coex, full_miss, _ = cands[(wa("a1"), wc("c1"))]
+        assert full_coex == pytest.approx(0.75, abs=1e-12)
+        assert full_miss == pytest.approx(0.0, abs=1e-12)
+        partial_coex, partial_miss, _ = cands[(wa("a1"), wc("c2"))]
+        assert partial_coex == pytest.approx(0.25, abs=1e-12)
+        assert partial_miss == pytest.approx(0.5, abs=1e-12)
 
     def test_ambiguous_pivot_sense_probability(self):
         # single path, pivot linked to two C words -> 1/(2^2-1)
         g = single_graph([("a1", "b1")], [("c1", "b1"), ("c2", "b1")])
-        cand = scored(g)[(wa("a1"), wc("c1"))]
-        assert cand.shared_sense_prob == pytest.approx(1 / 3)
-        assert cand.pivot_ambiguity == pytest.approx(2 / 3)
+        _, _, pivot_ambiguity = scored(g)[(wa("a1"), wc("c1"))]
+        assert 1.0 - pivot_ambiguity == pytest.approx(1 / 3)
+        assert pivot_ambiguity == pytest.approx(2 / 3)
 
     def test_zero_paths_is_error(self):
         g = single_graph([("a1", "b1")], [("c1", "b1")])
-        cand = generate_candidates(g)[0]
-        cand.paths = []
+        cand = generate_candidates(g, H1)[0]
         with pytest.raises(ValueError):
-            compute_cognate_probabilities(cand, compute_tables(g))
+            compute_cognate_probabilities(
+                cand.word_a, cand.word_c, (), cand.missing_edges, compute_tables(g)
+            )
 
     def test_missing_contribution_zero_without_missing_paths(self):
         rng = random.Random(3)
         for _ in range(30):
             d_ab, d_cb = random_dictionaries(rng)
             for g in build_transgraphs(d_ab, d_cb).graphs:
-                for cand in scored(g).values():
+                probs = scored(g)
+                for cand in generate_candidates(g, H1):
+                    coexistence, missing_contribution, pivot_ambiguity = probs[cand.pair]
                     if not cand.missing_edges:
-                        assert cand.missing_contribution == pytest.approx(0.0)
-                    assert 0.0 <= cand.coexistence <= 1.0 + 1e-12
-                    assert cand.missing_contribution >= -1e-12
-                    assert 0.0 < cand.shared_sense_prob <= 1.0
+                        assert missing_contribution == pytest.approx(0.0)
+                    assert 0.0 <= coexistence <= 1.0 + 1e-12
+                    assert missing_contribution >= -1e-12
+                    assert 0.0 <= pivot_ambiguity < 1.0  # shared-sense probability in (0, 1]
 
     def test_matches_path_sum_enumeration(self):
         # independent re-derivation of the directed path sums from raw edges
@@ -127,9 +145,9 @@ class TestCognateProbabilities:
         for _ in range(40):
             d_ab, d_cb = random_dictionaries(rng)
             for g in build_transgraphs(d_ab, d_cb).graphs:
-                for cand in scored(g).values():
-                    expected = _coexistence_by_enumeration(g, cand.word_a, cand.word_c)
-                    assert cand.coexistence == pytest.approx(expected, abs=1e-12)
+                for (a, c), (coexistence, _, _) in scored(g).items():
+                    expected = _coexistence_by_enumeration(g, a, c)
+                    assert coexistence == pytest.approx(expected, abs=1e-12)
                     checked += 1
         assert checked > 50
 
@@ -239,36 +257,31 @@ class TestHeuristicSelection:
 
 
 class TestEdgeCost:
-    def _cand(self, coex, miss=0.0, poly=0.0, form=1.0):
-        g = single_graph([("a1", "b1")], [("c1", "b1")])
-        cand = generate_candidates(g)[0]
-        cand.coexistence = coex
-        cand.missing_contribution = miss
-        cand.pivot_ambiguity = poly
-        cand.form_similarity = form
-        return cand
+    @staticmethod
+    def _cost(token, coex, miss=0.0, poly=0.0, form=1.0):
+        # spellings whose LCS ratio is `form`, a multiple of 0.1
+        k = round(form * 10)
+        surface_a, surface_c = "a" * 10, "a" * k + "b" * (10 - k)
+        assert lcsr(surface_a, surface_c) == form
+        sel = HeuristicSelection.from_token(token)
+        return compute_edge_cost(sel, coex, miss, poly, surface_a, surface_c)
 
     def test_perfect_pair_costs_nothing(self):
-        cand = self._cand(1.0)
-        sel = HeuristicSelection.from_token("H14")
-        assert compute_edge_cost(cand, sel) == 0.0
+        assert self._cost("H14", 1.0) == 0.0
 
     def test_coexistence_only(self):
-        cand = self._cand(0.75)
-        assert compute_edge_cost(cand, HeuristicSelection.from_token("H1")) == pytest.approx(0.25)
+        assert self._cost("H1", 0.75) == pytest.approx(0.25)
 
     def test_combined_with_form_cap(self):
-        cand = self._cand(0.75, form=0.8)
-        got = compute_edge_cost(cand, HeuristicSelection.from_token("H14"))
+        got = self._cost("H14", 0.75, form=0.8)
         assert got == pytest.approx(0.252)
 
     def test_monotonicity(self):
-        sel = HeuristicSelection.from_token("H1234")
-        base = compute_edge_cost(self._cand(0.5, 0.1, 0.2, 0.5), sel)
-        assert compute_edge_cost(self._cand(0.6, 0.1, 0.2, 0.5), sel) <= base
-        assert compute_edge_cost(self._cand(0.5, 0.2, 0.2, 0.5), sel) >= base
-        assert compute_edge_cost(self._cand(0.5, 0.1, 0.3, 0.5), sel) >= base
-        assert compute_edge_cost(self._cand(0.5, 0.1, 0.2, 0.6), sel) <= base
+        base = self._cost("H1234", 0.5, 0.1, 0.2, 0.5)
+        assert self._cost("H1234", 0.6, 0.1, 0.2, 0.5) <= base
+        assert self._cost("H1234", 0.5, 0.2, 0.2, 0.5) >= base
+        assert self._cost("H1234", 0.5, 0.1, 0.3, 0.5) >= base
+        assert self._cost("H1234", 0.5, 0.1, 0.2, 0.6) <= base
 
 
 class TestEventProbabilities:

@@ -12,11 +12,13 @@ from helpers import (
     wa,
     wc,
 )
+from pivotlex import heuristics, pipeline
 from pivotlex.pipeline import (
     COGNATE,
     SYNONYM,
     HyperParams,
     cognate_synonym_probability,
+    induce_on_transgraphs,
     parse_method,
     render_report,
     result_pair_set,
@@ -131,12 +133,12 @@ class TestCognateStage:
         st = run_cognate_stage(
             g, out.candidates, HyperParams(cognate_threshold=0.0)
         )
-        assert st.accepted == []
+        assert st.accepted == ()
 
     def test_empty_candidates(self):
         g = single_graph([("a1", "b1")], [("c1", "b1")])
         st = run_cognate_stage(g, [], HyperParams())
-        assert st.accepted == [] and not st.hard_unsat
+        assert st.accepted == () and not st.hard_unsat
 
     def test_accepted_costs_non_decreasing_without_sharing(self):
         # candidate edge sets are disjoint here, so greedy costs are sorted
@@ -233,12 +235,12 @@ class TestSynonymStage:
         _, st2 = self._run(
             ASYM_AB, ASYM_CB, hp=HyperParams(synonym_threshold=0.0)
         )
-        assert st2.accepted == []
+        assert st2.accepted == ()
 
     def test_stage_empty_without_cognates(self):
         g = single_graph([("a1", "b1")], [("c1", "b1")])
         st = run_synonym_stage(g, [], HyperParams())
-        assert st.accepted == [] and not st.hard_unsat
+        assert st.accepted == () and not st.hard_unsat
 
     def test_synonym_shares_anchor_pivot(self):
         rng = random.Random(77)
@@ -351,6 +353,50 @@ class TestRunPipeline:
             (p.pair, p.stage, p.cost) for p in par.pairs
         ]
         assert seq.reports == par.reports
+
+    def test_workers_capped_at_transgraph_count(self, monkeypatch):
+        asked = []
+
+        class SerialExecutor:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", SerialExecutor)
+        tset = build_transgraphs(
+            dict_ab(("a1", "b1"), ("a2", "b2")), dict_cb(("c1", "b1"), ("c2", "b2"))
+        )
+        assert len(tset.graphs) == 2
+        res = induce_on_transgraphs(tset, parse_method("1:C:H1"), jobs=8)
+        assert asked == [2]
+        assert len(res.pairs) == 2
+
+    @pytest.mark.parametrize(
+        "method, reads_spelling",
+        [("1:C:H1", False), ("2:S:H123", False), ("2:S:H14", True)],
+    )
+    def test_spelling_similarity_only_under_h4(self, monkeypatch, method, reads_spelling):
+        class SpellingRead(Exception):
+            pass
+
+        def refuse(a, b):
+            raise SpellingRead
+
+        monkeypatch.setattr(heuristics, "lcsr", refuse)
+        tset = build_transgraphs(dict_ab(*ASYM_AB), dict_cb(*ASYM_CB))
+        if reads_spelling:
+            with pytest.raises(SpellingRead):
+                induce_on_transgraphs(tset, parse_method(method))
+        else:
+            assert induce_on_transgraphs(tset, parse_method(method)).pairs
 
     def test_no_duplicate_pairs(self):
         rng = random.Random(14)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from helpers import ASYM_AB, ASYM_CB, dict_ab, graphs_from, single_graph, wa, wb, wc
-from pivotlex.heuristics import generate_candidates, compute_tables, compute_cognate_probabilities
+from pivotlex.heuristics import HeuristicSelection, generate_candidates
 from pivotlex.lexicon import BilingualDictionary
 from pivotlex.transgraph import (
     Edge,
@@ -44,7 +44,7 @@ class TestBuildTransgraphs:
         assert len(tset.graphs) == 2
         # degenerate components are retained; they just yield no candidates
         for g in tset.graphs:
-            assert generate_candidates(g) == []
+            assert generate_candidates(g, HeuristicSelection.from_token("H1")) == []
 
     def test_join_through_shared_a_word(self):
         # b1 and b2 meet through a1, so union-find folds everything together
@@ -117,11 +117,7 @@ class TestFilterBig:
 
 
 def _scored(graph):
-    tables = compute_tables(graph)
-    cands = generate_candidates(graph)
-    for c in cands:
-        compute_cognate_probabilities(c, tables)
-    return cands
+    return generate_candidates(graph, HeuristicSelection.from_token("H1"))
 
 
 class TestAddNewEdges:
