@@ -41,7 +41,7 @@ from .pipeline import (
     run_pipeline,
 )
 from .polysemy import predicted_precision, sweep
-from .solver import SolveOutcome, brute_force_solve, check_assignment, solve
+from .solver import SolveOutcome, check_assignment, solve
 from .transgraph import (
     Edge,
     Transgraph,
@@ -73,7 +73,6 @@ __all__ = [
     "TransgraphSet",
     "Word",
     "add_new_edges",
-    "brute_force_solve",
     "build_gold",
     "build_transgraphs",
     "cartesian_product",

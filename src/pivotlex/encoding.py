@@ -12,9 +12,9 @@ its own edges, so the edges that exist are the graph's plus every missing
 edge of the accepted decisions, and only the candidates' other missing
 edges stay hypothesized.
 
-Soft weights are kept both as floats and as integer micro-units
-(rounded to 1e-6); every cost comparison and the WCNF export use the
-integer form, so runs are bit-reproducible.
+A soft clause's weight is kept only in integer micro-units (rounded to
+1e-6); every cost comparison and the WCNF export use that integer, so
+runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -37,10 +37,9 @@ KIND_RAW = "var"
 
 @dataclass(frozen=True)
 class Clause:
-    """Disjunction of signed variable ids; weight None means hard."""
+    """Disjunction of signed variable ids; a soft one weighs `micro` micro-units."""
 
     literals: tuple[int, ...]
-    weight: float | None = None
     micro: int = 0
 
     def __post_init__(self):
@@ -59,8 +58,7 @@ def hard_clause(literals: Iterable[int]) -> Clause:
 
 def soft_clause(literals: Iterable[int], weight: float) -> Clause:
     """Soft clause; weight is floored at one micro-unit to stay positive."""
-    micro = micro_units(weight)
-    return Clause(tuple(literals), weight=micro / MICRO, micro=micro)
+    return Clause(tuple(literals), micro=micro_units(weight))
 
 
 def micro_units(weight: float) -> int:
@@ -339,7 +337,7 @@ def parse_wcnf(text: str) -> CnfFormula:
         if weight == top:
             cnf.hard.append(hard_clause(lits))
         else:
-            cnf.soft.append(Clause(lits, weight=weight / MICRO, micro=weight))
+            cnf.soft.append(Clause(lits, micro=weight))
     for vid in range(1, nvars + 1):
         reg.intern((KIND_RAW, vid))
     return cnf

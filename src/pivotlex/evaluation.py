@@ -208,11 +208,23 @@ def cross_validate(
 ) -> CvReport:
     """Tune thresholds on k-1 folds of transgraphs, test on the held-out one."""
     plan = make_fold_plan([g.id for g in tset.graphs], k)
+    # fail on the inputs score rejects, and on a fold without gold, before any search
+    score(PairSet(tset.lang_a, tset.lang_c, frozenset()), gold, beta)
     by_id = {g.id: g for g in tset.graphs}
+    train_folds = [
+        [tid for fold in plan.folds if fold != test_ids for tid in fold]
+        for test_ids in plan.folds
+    ]
+    for i, test_ids in enumerate(plan.folds):
+        for part, ids in (("training", train_folds[i]), ("test", test_ids)):
+            if not restrict_gold(gold, [by_id[t] for t in ids]).pairs:
+                raise ValueError(
+                    f"fold {i} (test transgraphs {test_ids[0]}-{test_ids[-1]}):"
+                    f" no gold pair in its {part} transgraphs"
+                )
     results = []
     for i, test_ids in enumerate(plan.folds):
-        train_ids = [tid for fold in plan.folds if fold != test_ids for tid in fold]
-        train_graphs = [by_id[t] for t in train_ids]
+        train_graphs = [by_id[t] for t in train_folds[i]]
         test_graphs = [by_id[t] for t in test_ids]
         train_set = TransgraphSet(tset.lang_a, tset.lang_b, tset.lang_c, train_graphs)
         test_set = TransgraphSet(tset.lang_a, tset.lang_b, tset.lang_c, test_graphs)
@@ -236,16 +248,32 @@ class TTestReport:
 
 
 def t_cdf(t: float, df: int) -> float:
-    """Student-t CDF through the regularized incomplete beta function."""
-    if df < 1:
-        raise ValueError("df must be >= 1")
+    """Student-t CDF for integer degrees of freedom, as an exact finite sum.
+
+    With theta = atan(|t| / sqrt(df)), P(|T| < |t|) is Abramowitz & Stegun
+    26.7.3 for odd df and 26.7.4 for even df.
+    """
+    if isinstance(df, bool) or not isinstance(df, int) or df < 1:
+        raise ValueError(f"df must be a positive integer, got {df!r}")
+    if math.isnan(t):
+        raise ValueError("t must not be NaN")
     if math.isinf(t):
         return 1.0 if t > 0 else 0.0
-    from scipy.special import betainc  # heavy; only the t-test needs it
-
-    x = df / (df + t * t)
-    tail = 0.5 * float(betainc(0.5 * df, 0.5, x))
-    return 1.0 - tail if t >= 0 else tail
+    theta = math.atan(abs(t) / math.sqrt(df))
+    cos2 = math.cos(theta) ** 2
+    # 1 + 2/3 cos^2 + (2*4)/(3*5) cos^4 + ... for odd df, 1 + 1/2 cos^2 + ... for even
+    term = series = 1.0
+    for k in range(1 + df % 2, df - 2, 2):
+        term *= cos2 * k / (k + 1)
+        series += term
+    if df % 2 == 0:
+        inside = math.sin(theta) * series
+    elif df == 1:
+        inside = 2 / math.pi * theta
+    else:
+        inside = 2 / math.pi * (theta + math.sin(theta) * math.cos(theta) * series)
+    inside = min(inside, 1.0)  # rounding can carry the sum a hair past 1
+    return 0.5 + 0.5 * inside if t >= 0 else 0.5 - 0.5 * inside
 
 
 def paired_t_test(
@@ -254,7 +282,8 @@ def paired_t_test(
     """One-tailed paired test of mean(xs - ys) > 0.
 
     All-zero differences give t=0, p=0.5. Zero variance with a non-zero
-    mean makes t infinite and p collapses to 0 or 1.
+    mean makes t infinite and p collapses to 0 or 1. Differences whose mean
+    or variance overflows the float range raise ValueError.
     """
     if tail != "greater":
         raise ValueError("only the 'greater' tail is supported")
@@ -265,7 +294,12 @@ def paired_t_test(
         raise ValueError("need at least two observation pairs")
     diffs = [x - y for x, y in zip(xs, ys)]
     mean = sum(diffs) / n
-    var = sum((d - mean) ** 2 for d in diffs) / (n - 1)
+    try:
+        var = sum((d - mean) ** 2 for d in diffs) / (n - 1)
+    except OverflowError:  # float ** raises where + and * give inf
+        var = math.inf
+    if not (math.isfinite(mean) and math.isfinite(var)):
+        raise ValueError("the differences are too large: their mean or variance overflows")
     sd = math.sqrt(var)
     if sd == 0:
         t = 0.0 if mean == 0 else math.copysign(math.inf, mean)

@@ -1,24 +1,19 @@
 """Exact weighted partial MaxSAT solving.
 
 solve() is a branch-and-bound search with unit propagation over the hard
-clauses; brute_force_solve() enumerates every assignment (vectorized) and
-is the test oracle. Both return the same canonical optimum: minimal total
-weight of falsified soft clauses, ties broken by preferring false for the
-lowest-id variable, so results are bit-reproducible.
+clauses. It returns the canonical optimum: minimal total weight of
+falsified soft clauses, ties broken by preferring false for the lowest-id
+variable, so results are bit-reproducible. With check_assignment() and the
+WCNF export it is the exact reference the pipeline's direct selection is
+tested against; the test suite checks it in turn against an exhaustive
+oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .encoding import MICRO, Clause, CnfFormula
-
-if TYPE_CHECKING:
-    import numpy as np
-
-BRUTE_FORCE_LIMIT = 25
-_CHUNK_BITS = 20
 
 
 @dataclass(frozen=True)
@@ -196,55 +191,6 @@ class _Search:
             return None
         assignment = {v: best_val[v] > 0 for v in range(1, self.n + 1)}
         return SolveOutcome(assignment, best_micro / MICRO, best_micro)
-
-
-def brute_force_solve(cnf: CnfFormula) -> SolveOutcome | None:
-    """Exhaustive oracle with the same canonical tie-breaking as solve()."""
-    import numpy as np  # the oracle alone needs it; keep `import pivotlex` light
-
-    n = _validate(cnf)
-    if n > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"{n} variables exceed the brute-force limit of {BRUTE_FORCE_LIMIT}")
-
-    total = 1 << n
-    chunk = 1 << min(_CHUNK_BITS, n)
-    best_cost: int | None = None
-    best_index: int | None = None
-
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        codes = np.arange(lo, hi, dtype=np.int64)
-        feasible = np.ones(hi - lo, dtype=bool)
-        for clause in cnf.hard:
-            feasible &= _clause_sat(codes, clause.literals, n)
-        if not feasible.any():
-            continue
-        cost = np.zeros(hi - lo, dtype=np.int64)
-        for clause in cnf.soft:
-            sat = _clause_sat(codes, clause.literals, n)
-            cost[~sat] += clause.micro
-        cost[~feasible] = np.iinfo(np.int64).max
-        i = int(np.argmin(cost))
-        c = int(cost[i])
-        if best_cost is None or c < best_cost:
-            best_cost, best_index = c, lo + i
-
-    if best_cost is None:
-        return None
-    assignment = {
-        v: bool((best_index >> (n - v)) & 1) for v in range(1, n + 1)
-    }
-    return SolveOutcome(assignment, best_cost / MICRO, best_cost)
-
-
-def _clause_sat(codes: np.ndarray, literals: tuple[int, ...], n: int) -> np.ndarray:
-    import numpy as np
-
-    sat = np.zeros(codes.shape, dtype=bool)
-    for lit in literals:
-        bit = (codes >> (n - abs(lit))) & 1
-        sat |= (bit == 1) if lit > 0 else (bit == 0)
-    return sat
 
 
 def check_assignment(

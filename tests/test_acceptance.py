@@ -17,6 +17,7 @@ from helpers import (
     wb,
     wc,
 )
+from oracle import brute_force_solve
 from pivotlex.encoding import encode_cognate_cnf, export_wcnf, parse_wcnf
 from pivotlex.evaluation import paired_t_test, score, t_cdf
 from pivotlex.heuristics import (
@@ -37,7 +38,7 @@ from pivotlex.pipeline import (
     run_pipeline,
 )
 from pivotlex.polysemy import predicted_precision, wrong_translations
-from pivotlex.solver import brute_force_solve, solve
+from pivotlex.solver import solve
 from pivotlex.transgraph import add_new_edges, build_transgraphs
 from pivotlex.cli import main as cli_main
 

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -374,6 +375,40 @@ def test_import_leaves_numpy_and_scipy_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_no_command_needs_numpy_or_scipy(workdir):
+    (workdir / "xs.txt").write_text("0.1\n0.2\n0.15\n", encoding="utf-8")
+    (workdir / "ys.txt").write_text("0\n0\n0\n", encoding="utf-8")
+    d, dicts = str(workdir), dict_flags(workdir)
+    gold = ["--gold", str(workdir / "gold.tsv")]
+    commands = [
+        ["induce", *dicts, "--method", "2:S:H14", "-o", f"{d}/out.tsv"],
+        ["baseline", "cp", *dicts, "-o", f"{d}/cp.tsv"],
+        ["baseline", "ic", *dicts, "-o", f"{d}/ic.tsv"],
+        _eval_command(workdir),
+        ["grid-search", *dicts, *gold, "--method", "1:S:H1"],
+        ["cv", *dicts, *gold, "--method", "1:C:H1", "--folds", "2"],
+        ["ttest", f"{d}/xs.txt", f"{d}/ys.txt"],
+        ["polysemy", "--n-max", "3"],
+        ["stats", *dicts],
+        ["export-wcnf", *dicts, "--method", "1:C:H1", "--out-dir", f"{d}/wcnf"],
+    ]
+    code = (
+        "import json, sys\n"
+        "sys.modules['numpy'] = sys.modules['scipy'] = None\n"
+        "from pivotlex.cli import main\n"
+        "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(pivotlex.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(commands)],
+        env=env, capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    codes = json.loads(out.stdout.splitlines()[-1])
+    assert codes == [0] * len(commands), [c[0] for c, rc in zip(commands, codes) if rc]
+
+
 class TestOtherCommands:
     def test_polysemy_csv(self, workdir, capsys):
         out = workdir / "sweep.csv"
@@ -399,6 +434,19 @@ class TestOtherCommands:
         (workdir / "ys.txt").write_text("\ufeff0\n0\n0\n", encoding="utf-8")
         assert main(["ttest", str(workdir / "xs.txt"), str(workdir / "ys.txt")]) == 0
         assert "t\t5.1962" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "xs, ys",
+        [("1e308\n1e308\n", "-1e308\n-1e308\n"), ("1e200\n-1e200\n", "0\n0\n")],
+        ids=["mean", "variance"],
+    )
+    def test_ttest_overflowing_differences_are_data_error(self, workdir, capsys, xs, ys):
+        (workdir / "xs.txt").write_text(xs, encoding="utf-8")
+        (workdir / "ys.txt").write_text(ys, encoding="utf-8")
+        assert main(["ttest", str(workdir / "xs.txt"), str(workdir / "ys.txt")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_ttest_non_finite_value_is_data_error(self, workdir, capsys, value):
@@ -430,6 +478,17 @@ class TestOtherCommands:
         )
         assert code == 0
         assert "mean f_score" in capsys.readouterr().out
+
+    def test_cv_fold_without_gold_is_named(self, workdir, capsys):
+        (workdir / "ab.tsv").write_text("a1\tb1\na2\tb2\n", encoding="utf-8")
+        (workdir / "cb.tsv").write_text("c1\tb1\nc2\tb2\n", encoding="utf-8")
+        (workdir / "gold.tsv").write_text("a1\tc1\n", encoding="utf-8")
+        assert main([*SCORING_COMMANDS["cv"](workdir), "--folds", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: fold 0 (test transgraphs 0-0): no gold pair in its training transgraphs\n"
+        )
 
     def test_export_wcnf(self, workdir, capsys):
         out_dir = workdir / "wcnf"

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import ASYM_AB, ASYM_CB, random_dictionaries, single_graph, wa, wb, wc
 from pivotlex.encoding import (
+    MICRO,
     Clause,
     CnfFormula,
     VarRegistry,
@@ -52,7 +53,7 @@ class TestClause:
 
     def test_soft_weight_floor(self):
         c = soft_clause((1,), 0.0)
-        assert c.micro == 1 and c.weight == 1e-6
+        assert c.micro == 1 and c.micro / MICRO == 1e-6
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
@@ -127,7 +128,7 @@ class TestCognateEncoding:
         cnf = encode_cognate_cnf(g, cands)
         (partial,) = [c for c in cands if c.missing_edges]
         (sc,) = cnf.soft
-        assert sc.weight == pytest.approx(partial.edge_cost, abs=1e-6)
+        assert sc.micro / MICRO == pytest.approx(partial.edge_cost, abs=1e-6)
         evar = cnf.registry.id_of(edge_desc(partial.missing_edges[0]))
         assert sc.literals == (-evar,)
 
@@ -146,7 +147,7 @@ class TestCognateEncoding:
         cnf = encode_cognate_cnf(g, cands)
         evar = cnf.registry.id_of(edge_desc((wa("a1"), wb("b2"), "AB")))
         (sc,) = [c for c in cnf.soft if c.literals == (-evar,)]
-        assert sc.weight == pytest.approx(cheapest, abs=1e-6)
+        assert sc.micro / MICRO == pytest.approx(cheapest, abs=1e-6)
 
 
 class TestClauseCountClosedForms:
@@ -266,7 +267,7 @@ class TestSynonymEncoding:
         assert syn.shared_prob == pytest.approx(2 / 3)
         cnf = encode_synonym_cnf(g, cands, cognates, [syn])
         (sc,) = cnf.soft
-        assert sc.weight == pytest.approx(1 / 3, abs=1e-6)
+        assert sc.micro / MICRO == pytest.approx(1 / 3, abs=1e-6)
 
     def test_half_share_splits_evenly_over_two_links(self):
         from pivotlex.encoding import encode_synonym_cnf
@@ -283,7 +284,7 @@ class TestSynonymEncoding:
         cnf = encode_synonym_cnf(g, cands, cognates, [syn])
         assert len(cnf.soft) == 2
         for sc in cnf.soft:
-            assert sc.weight == pytest.approx(0.25, abs=1e-6)
+            assert sc.micro / MICRO == pytest.approx(0.25, abs=1e-6)
 
     def test_encoding_is_pure(self):
         from pivotlex.encoding import encode_synonym_cnf

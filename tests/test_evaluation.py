@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -222,6 +223,15 @@ class TestTTest:
         with pytest.raises(ValueError):
             paired_t_test([1.0, 2.0], [0.0])
 
+    @pytest.mark.parametrize(
+        "xs, ys",
+        [([1e308, 1e308], [-1e308, -1e308]), ([1e200, -1e200], [0.0, 0.0])],
+        ids=["mean", "variance"],
+    )
+    def test_overflowing_differences(self, xs, ys):
+        with pytest.raises(ValueError, match="overflows"):
+            paired_t_test(xs, ys)
+
 
 class TestTCdf:
     def test_zero_is_half(self):
@@ -245,6 +255,27 @@ class TestTCdf:
     def test_bad_df(self):
         with pytest.raises(ValueError):
             t_cdf(0.0, 0)
+
+    @pytest.mark.parametrize("df", [2.0, 2.5, True])
+    def test_non_integer_df(self, df):
+        with pytest.raises(ValueError, match="positive integer"):
+            t_cdf(1.0, df)
+
+    def test_nan_t(self):
+        with pytest.raises(ValueError, match="NaN"):
+            t_cdf(math.nan, 3)
+
+    def test_matches_scipy(self):
+        from scipy.stats import t as student_t
+
+        rng = random.Random(5)
+        grid = [0.0, 1e-6, 0.3, 1.0, 2.5, 5.0, 10.0, 40.0, 1e3, 1e6]
+        for df in [*range(1, 201), 500, 1000, 10000]:
+            for t in [*grid, *(rng.uniform(0.0, 12.0) for _ in range(4))]:
+                for signed in (t, -t):
+                    got, want = t_cdf(signed, df), float(student_t.cdf(signed, df))
+                    assert got == pytest.approx(want, abs=1e-9), (signed, df)
+                    assert 0.0 <= got <= 1.0, (signed, df)
 
 
 class TestBuildGold:
