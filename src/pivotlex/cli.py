@@ -68,6 +68,13 @@ _POSITIVE_INT = _checked(int, lambda v: v >= 1, "must be a positive integer")
 _BETA = _checked(float, lambda v: 0 < v < math.inf, "beta must be positive and finite")
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, where the platform can say."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _add_dict_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dict-ab", required=True, help="A->B dictionary (TSV)")
     p.add_argument("--dict-cb", required=True, help="C->B dictionary (TSV)")
@@ -294,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--synonym-threshold",
         type=_checked(float, lambda v: 0 <= v <= 1, "threshold must be 0.0..1.0"),
     )
-    p.add_argument("--jobs", type=_POSITIVE_INT, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=_POSITIVE_INT, default=_usable_cpus())
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--report", help="write per-transgraph diagnostics here")
     p.set_defaults(func=_cmd_induce)

@@ -293,18 +293,24 @@ def paired_t_test(
     if n < 2:
         raise ValueError("need at least two observation pairs")
     diffs = [x - y for x, y in zip(xs, ys)]
-    mean = sum(diffs) / n
+    # t is computed on the differences scaled by a power of two, which is
+    # exact for normal floats, so squares neither underflow nor overflow
+    _, exp = math.frexp(max(abs(d) for d in diffs))
+    scaled = [math.ldexp(d, -exp) for d in diffs]
+    mean_s = sum(scaled) / n
+    var_s = sum((d - mean_s) ** 2 for d in scaled) / (n - 1)
     try:
-        var = sum((d - mean) ** 2 for d in diffs) / (n - 1)
-    except OverflowError:  # float ** raises where + and * give inf
+        mean = math.ldexp(mean_s, exp)
+        var = math.ldexp(var_s, 2 * exp)
+    except OverflowError:  # ldexp raises where * gives inf
         var = math.inf
     if not (math.isfinite(mean) and math.isfinite(var)):
         raise ValueError("the differences are too large: their mean or variance overflows")
-    sd = math.sqrt(var)
-    if sd == 0:
-        t = 0.0 if mean == 0 else math.copysign(math.inf, mean)
+    sd_s = math.sqrt(var_s)
+    if sd_s == 0:
+        t = 0.0 if mean_s == 0 else math.copysign(math.inf, mean_s)
     else:
-        t = mean / (sd / math.sqrt(n))
+        t = mean_s / (sd_s / math.sqrt(n))
     p = 1.0 - t_cdf(t, n - 1)
     return TTestReport(t, n - 1, p, mean)
 

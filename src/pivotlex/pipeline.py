@@ -30,12 +30,25 @@ and its pivots anchor the synonym search. A stage run at threshold t makes
 the same picks as an unthresholded one and stops at the first pick costing
 >= t, so it keeps a prefix of the unthresholded acceptances; costs need not
 rise along that prefix. evaluation.grid_search relies on both facts.
+
+With jobs > 1, induce_on_transgraphs hands the graphs, the descriptor and
+the thresholds to the worker pool once, through its initializer, into the
+module-level _shared. Under the fork start method (the Linux default
+before Python 3.14) workers inherit them and nothing is pickled; under
+spawn or forkserver each worker unpickles one copy. A task is a tuple of
+graph indices: the graphs are sorted by edge count and dealt round-robin,
+largest first, into about four chunks per worker. Workers return
+(id, pairs, report) triples, and the results are aggregated by id as in a
+serial run. The garbage collector is frozen while the pool runs
+(gc.freeze), so neither this process nor a forked worker walks, and so
+copies, the objects they share; gc.unfreeze afterwards also thaws
+whatever a caller had frozen.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -370,6 +383,35 @@ def _induce_one(args) -> tuple[int, list[InducedPair], TransgraphReport]:
     return tg.id, pairs, report
 
 
+# a worker's (graphs, descriptor, hp), set once by the pool's initializer
+_shared: tuple[Sequence[Transgraph], MethodDescriptor, HyperParams] | None = None
+
+
+def _share(graphs, descriptor, hp) -> None:
+    global _shared
+    _shared = (graphs, descriptor, hp)
+
+
+def _induce_chunk(
+    indices: tuple[int, ...],
+) -> list[tuple[int, list[InducedPair], TransgraphReport]]:
+    graphs, descriptor, hp = _shared
+    return [_induce_one((graphs[i], descriptor, hp)) for i in indices]
+
+
+def _largest_first(graphs: Sequence[Transgraph], workers: int) -> list[tuple[int, ...]]:
+    """Deal graph indices, largest graph first, into about four chunks per worker.
+
+    Dealing round-robin down the size order gives every chunk a share of
+    the big graphs, and the first chunks out hold the biggest, so no large
+    graph is left to run alone at the end. A chunk costs one round trip to
+    a worker, which costs more than inducing a small graph.
+    """
+    order = sorted(range(len(graphs)), key=lambda i: -len(graphs[i].edges))
+    n = min(len(order), 4 * workers)
+    return [tuple(order[k::n]) for k in range(n)]
+
+
 def induce_on_transgraphs(
     tset: TransgraphSet,
     descriptor: MethodDescriptor,
@@ -383,17 +425,28 @@ def induce_on_transgraphs(
     """
     hp = hp or HyperParams()
     graphs = sorted(tset.graphs, key=lambda g: g.id)
-    tasks = [(g, descriptor, hp) for g in graphs]
-    if jobs > 1 and len(tasks) > 1:
+    if jobs > 1 and len(graphs) > 1:
         # fork starts every worker at the first submit: start none to idle
-        workers = min(jobs, len(tasks))
-        # a few chunks per worker: a round trip to a worker per graph costs
-        # more than inducing a small graph
-        chunk = math.ceil(len(tasks) / (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as executor:
-            outputs = list(executor.map(_induce_one, tasks, chunksize=chunk))
+        workers = min(jobs, len(graphs))
+        # a collection walks every object it tracks and writes to each, so
+        # forked workers would copy the pages they share with this process;
+        # frozen objects are not walked, here or in the workers
+        gc.freeze()
+        try:
+            with ProcessPoolExecutor(
+                max_workers=workers,
+                initializer=_share,
+                initargs=(graphs, descriptor, hp),
+            ) as executor:
+                outputs = [
+                    out
+                    for chunk in executor.map(_induce_chunk, _largest_first(graphs, workers))
+                    for out in chunk
+                ]
+        finally:
+            gc.unfreeze()
     else:
-        outputs = [_induce_one(t) for t in tasks]
+        outputs = [_induce_one((g, descriptor, hp)) for g in graphs]
     pairs: list[InducedPair] = []
     reports: dict[int, TransgraphReport] = {}
     for tg_id, ps, report in sorted(outputs, key=lambda o: o[0]):

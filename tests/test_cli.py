@@ -6,7 +6,9 @@ import sys
 import pytest
 
 import pivotlex
+from pivotlex import cli
 from pivotlex.cli import main
+from pivotlex.pipeline import induce_on_transgraphs
 
 
 @pytest.fixture
@@ -88,6 +90,24 @@ class TestInduce:
             assert code == 0
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "cpu_count"])
+    def test_default_jobs_is_usable_cpus(self, workdir, monkeypatch, affinity):
+        if affinity:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        asked = []
+
+        def induce(tset, method, hp, jobs):
+            asked.append(jobs)
+            return induce_on_transgraphs(tset, method, hp, jobs=1)
+
+        monkeypatch.setattr(cli, "induce_on_transgraphs", induce)
+        out = workdir / "out.tsv"
+        assert main(["induce", *dict_flags(workdir), "--method", "1:C:H1", "-o", str(out)]) == 0
+        assert asked == [3 if affinity else 6]
 
     def test_bad_method_is_usage_error(self, workdir):
         code = main(

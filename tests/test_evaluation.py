@@ -223,6 +223,17 @@ class TestTTest:
         with pytest.raises(ValueError):
             paired_t_test([1.0, 2.0], [0.0])
 
+    def test_tiny_differences_scale_like_unit_ones(self):
+        unit = paired_t_test([1.0, 2.0, -1.0], [0.0, 0.0, 0.0])
+        assert unit.t_stat == pytest.approx(0.7559, abs=1e-4)
+        # a power-of-two scale is exact, any other rounds the last bit
+        exact = paired_t_test([2.0**-996, 2.0**-995, -(2.0**-996)], [0.0, 0.0, 0.0])
+        assert (exact.t_stat, exact.p_value) == (unit.t_stat, unit.p_value)
+        tiny = paired_t_test([1e-300, 2e-300, -1e-300], [0.0, 0.0, 0.0])
+        assert tiny.t_stat == pytest.approx(unit.t_stat, rel=1e-15)
+        assert tiny.p_value == pytest.approx(unit.p_value, rel=1e-15)
+        assert tiny.mean_diff == pytest.approx(2e-300 / 3, rel=1e-15)
+
     @pytest.mark.parametrize(
         "xs, ys",
         [([1e308, 1e308], [-1e308, -1e308]), ([1e200, -1e200], [0.0, 0.0])],

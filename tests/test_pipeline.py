@@ -1,3 +1,5 @@
+import functools
+import multiprocessing
 import random
 
 import pytest
@@ -32,6 +34,51 @@ from pivotlex.transgraph import build_transgraphs
 
 def surfaces(pairs):
     return sorted((p.word_a.surface, p.word_c.surface) for p in pairs)
+
+
+def skewed_dictionaries():
+    """A 320-edge component, named to get the last id, and 150 one-pivot ones."""
+    rng = random.Random(21)
+    ab, cb = [], []
+    for j in range(40):
+        ab += [(f"za{i}", f"zb{j}") for i in rng.sample(range(30), 4)]
+        cb += [(f"zc{i}", f"zb{j}") for i in rng.sample(range(30), 4)]
+    for k in range(150):
+        ab += [(f"sa{k}_{i}", f"sb{k}") for i in range(1 + k % 2)]
+        cb += [(f"sc{k}_{i}", f"sb{k}") for i in range(1 + k % 3)]
+    return dict_ab(*ab), dict_cb(*cb)
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Replace the worker pool with one that runs in this process.
+
+    It records the worker counts asked for and every task mapped.
+    """
+
+    class SerialExecutor:
+        asked: list[int] = []
+        tasks: list = []
+
+        def __init__(self, max_workers, initializer=None, initargs=()):
+            self.asked.append(max_workers)
+            if initializer is not None:
+                initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            tasks = list(tasks)
+            self.tasks.extend(tasks)
+            return map(fn, tasks)
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", SerialExecutor)
+    monkeypatch.setattr(pipeline, "_shared", None)
+    return SerialExecutor
 
 
 class TestParseMethod:
@@ -354,30 +401,52 @@ class TestRunPipeline:
         ]
         assert seq.reports == par.reports
 
-    def test_workers_capped_at_transgraph_count(self, monkeypatch):
-        asked = []
+    def test_jobs_do_not_change_output_on_skewed_input(self):
+        # one big component and many one-pivot ones: largest-first dealing
+        # sends the last graph out first
+        tset = build_transgraphs(*skewed_dictionaries())
+        assert max(tset.graphs, key=lambda g: len(g.edges)).id == len(tset.graphs) - 1
+        method = parse_method("2:S:H14")
+        runs = [induce_on_transgraphs(tset, method, jobs=jobs) for jobs in (1, 2, 3)]
+        for res in runs[1:]:
+            assert [(p.pair, p.stage, p.cost, p.anchor) for p in res.pairs] == [
+                (p.pair, p.stage, p.cost, p.anchor) for p in runs[0].pairs
+            ]
+            assert res.reports == runs[0].reports
 
-        class SerialExecutor:
-            def __init__(self, max_workers):
-                asked.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables, chunksize=1):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", SerialExecutor)
+    def test_workers_capped_at_transgraph_count(self, serial_pool):
         tset = build_transgraphs(
             dict_ab(("a1", "b1"), ("a2", "b2")), dict_cb(("c1", "b1"), ("c2", "b2"))
         )
         assert len(tset.graphs) == 2
         res = induce_on_transgraphs(tset, parse_method("1:C:H1"), jobs=8)
-        assert asked == [2]
+        assert serial_pool.asked == [2]
         assert len(res.pairs) == 2
+
+    def test_workers_get_graph_indices_largest_first(self, serial_pool):
+        tset = build_transgraphs(*skewed_dictionaries())
+        serial = induce_on_transgraphs(tset, parse_method("1:S:H14"))
+        res = induce_on_transgraphs(tset, parse_method("1:S:H14"), jobs=2)
+        assert res.pairs == serial.pairs and res.reports == serial.reports
+        tasks = serial_pool.tasks
+        assert all(
+            isinstance(task, tuple) and task and all(type(i) is int for i in task)
+            for task in tasks
+        )
+        assert sorted(i for task in tasks for i in task) == list(range(len(tset.graphs)))
+        largest = max(range(len(tset.graphs)), key=lambda i: len(tset.graphs[i].edges))
+        assert largest in tasks[0]
+
+    def test_spawned_workers_get_the_same_graphs(self, monkeypatch):
+        # spawned workers import afresh and unpickle the initializer's graphs
+        spawn = functools.partial(
+            pipeline.ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")
+        )
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", spawn)
+        tset = build_transgraphs(*skewed_dictionaries())
+        serial = induce_on_transgraphs(tset, parse_method("1:S:H14"))
+        res = induce_on_transgraphs(tset, parse_method("1:S:H14"), jobs=2)
+        assert res.pairs == serial.pairs and res.reports == serial.reports
 
     @pytest.mark.parametrize(
         "method, reads_spelling",
