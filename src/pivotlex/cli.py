@@ -208,7 +208,7 @@ def _cmd_ttest(args) -> int:
     report = evaluation.paired_t_test(xs, ys)
     sys.stdout.write(
         f"t\t{report.t_stat:.4f}\ndf\t{report.df}\n"
-        f"p\t{report.p_value:.5f}\nmean_diff\t{report.mean_diff:.6f}\n"
+        f"p\t{report.p_value:.5f}\nmean_diff\t{report.mean_diff:.6g}\n"
     )
     return 0
 

@@ -11,13 +11,11 @@ from typing import Iterator, Sequence
 from .lexicon import PairSet
 from .pipeline import (
     HyperParams,
-    InducedPair,
     MethodDescriptor,
+    StageRuns,
+    _kept,
     induce_on_transgraphs,
     result_pair_set,
-    run_cognate_stage,
-    run_cycles,
-    run_synonym_stage,
 )
 from .transgraph import Transgraph, TransgraphSet
 
@@ -59,41 +57,6 @@ class GridPoint:
     metrics: Metrics
 
 
-def _kept(accepted: Sequence[InducedPair], threshold: float | None) -> int:
-    """How many of a stage's unthresholded acceptances a run at `threshold` keeps."""
-    if threshold is not None:
-        for i, pair in enumerate(accepted):
-            if not pair.cost < threshold:
-                return i
-    return len(accepted)
-
-
-class StageRuns:
-    """One transgraph's unthresholded stage runs; a run at any thresholds follows.
-
-    See grid_search. The synonym stage runs once per cognate prefix in use.
-    """
-
-    def __init__(self, tg: Transgraph, descriptor: MethodDescriptor):
-        cyc = run_cycles(tg, descriptor)
-        self.graph = cyc.graph
-        self.cognates = run_cognate_stage(
-            cyc.graph, cyc.candidates, HyperParams(), descriptor.method != "M"
-        )
-        self.with_synonyms = descriptor.method == "S"
-        self._synonyms: dict[int, tuple[InducedPair, ...]] = {}  # by cognate prefix length
-
-    def pairs(self, ct: float | None, st: float | None) -> tuple[InducedPair, ...]:
-        """The pairs a run at thresholds (ct, st) accepts, in order."""
-        k = _kept(self.cognates.accepted, ct)
-        if self.with_synonyms and k not in self._synonyms:
-            cognates = self.cognates.candidates[:k]
-            stage = run_synonym_stage(self.graph, cognates, HyperParams())
-            self._synonyms[k] = stage.accepted
-        synonyms = self._synonyms.get(k, ())
-        return self.cognates.accepted[:k] + synonyms[: _kept(synonyms, st)]
-
-
 def grid_points(
     tset: TransgraphSet,
     descriptor: MethodDescriptor,
@@ -105,7 +68,8 @@ def grid_points(
     The cognate axis runs past the costliest unthresholded acceptance; the
     synonym axis is 0..1 for method S and None otherwise. Points come in
     search order, the synonym threshold varying fastest. A transgraph's
-    pairs at a point come from its StageRuns, so nothing reruns per point.
+    pairs at a point are the prefixes its pipeline.StageRuns cuts, as in
+    any run at those thresholds, so nothing reruns per point.
     """
     # fail on the inputs score rejects, before any work
     score(PairSet(tset.lang_a, tset.lang_c, frozenset()), gold, beta)
@@ -142,12 +106,12 @@ def grid_search(
     """Pick the thresholds maximizing F on a 0.01 grid (ties: smallest).
 
     The metrics are those of a run at the chosen thresholds, found without
-    a run per grid point. A stage at threshold t makes the same picks as an
-    unthresholded one and stops at the first pick costing >= t, so it keeps
-    a prefix of the unthresholded acceptances (not every pair costing less
-    than t: accepting a pair can make later ones cheaper). The synonym
-    stage depends only on the graph and the accepted cognates, so for
-    method S it runs once per distinct cognate prefix (see StageRuns).
+    a run per grid point. Every run, induce's included, cuts each stage's
+    prefix from one unthresholded run per transgraph (pipeline.StageRuns):
+    the prefix ends at the first pick costing >= t, so it is not every
+    pair costing less than t, since accepting a pair can make later ones
+    cheaper. For method S the synonym stage runs once per distinct
+    cognate prefix.
     """
     points = grid_points(tset, descriptor, gold, beta)
     return max(points, key=lambda p: p.metrics.f_score)  # the first of equal maxima

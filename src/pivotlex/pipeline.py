@@ -10,26 +10,27 @@ A run is configured by a method descriptor ``<cycle>:<method>:<heuristic>``:
              coexistence / missing-contribution / pivot-ambiguity /
              form-similarity (method M supports H1 only)
 
-Each stage repeatedly accepts the cheapest consistent fresh decision while
-its incremental cost stays below the stage threshold (no threshold =
-accept everything reachable). That decision is the optimum of the stage's
-weighted MaxSAT formula (encoding.encode_cognate_cnf / encode_synonym_cnf,
-solved by solver.solve), read off directly: every decision implies its own
-edges and every soft weight is at least one micro-unit, so the optimum
-turns on exactly one fresh decision, the one whose still-hypothesized
-edges weigh least, ties going to the decision with the highest variable
-id, i.e. the last pair. The formula and the solver remain the exact
-reference that the tests compare this selection with.
+Each stage repeatedly accepts the cheapest consistent fresh decision
+until none is left. That decision is the optimum of the stage's weighted
+MaxSAT formula (encoding.encode_cognate_cnf / encode_synonym_cnf, solved
+by solver.solve), read off directly: every decision implies its own edges
+and every soft weight is at least one micro-unit, so the optimum turns on
+exactly one fresh decision, the one whose still-hypothesized edges weigh
+least, ties going to the decision with the highest variable id, i.e. the
+last pair. The formula and the solver remain the exact reference that the
+tests compare this selection with.
 
 Stages pass data, not shared state. Each scoring round is one pure pass,
 heuristics.generate_candidates, that returns immutable, fully priced
 candidates; a stage returns, as a frozen record, the candidates it
 accepted, in order. The synonym stage depends only on the graph and the
 accepted cognates: each of those leaves all of its missing edges existing,
-and its pivots anchor the synonym search. A stage run at threshold t makes
-the same picks as an unthresholded one and stops at the first pick costing
->= t, so it keeps a prefix of the unthresholded acceptances; costs need not
-rise along that prefix. evaluation.grid_search relies on both facts.
+and its pivots anchor the synonym search. A stage run at threshold t
+would make the same picks as an unthresholded one and stop at the first
+pick costing >= t: it keeps a prefix of the unthresholded acceptances,
+along which costs need not rise. So every run, induce's and
+evaluation.grid_search's alike, cuts its prefixes (_cut) from one
+unthresholded run per transgraph (StageRuns).
 
 With jobs > 1, induce_on_transgraphs hands the graphs, the descriptor and
 the thresholds to the worker pool once, through its initializer, into the
@@ -197,12 +198,11 @@ def run_cycles(tg: Transgraph, descriptor: MethodDescriptor) -> CycleResult:
 
 def _run_stage(
     candidates: Sequence[PairCandidate | SynonymCandidate],
-    threshold: float | None,
     stage: str,
     tg_id: int,
     exclusive: bool,
 ) -> StageOutcome:
-    """Accept the cheapest fresh decision until the pool, the budget or feasibility runs out.
+    """Accept the cheapest fresh decision until the pool or feasibility runs out.
 
     A candidate costs the summed micro-weights of its hypothesized edges
     that are still new; accepting one hardens them, which lowers the cost
@@ -239,9 +239,6 @@ def _run_stage(
         done[i] = True
         if exclusive and (cand.word_a in used_a or cand.word_c in used_c):
             continue
-        value = micro / MICRO
-        if threshold is not None and not value < threshold:
-            return StageOutcome(tuple(accepted), tuple(chosen), False)
         for key in cand.missing_edges:
             if key in hardened:
                 continue
@@ -254,18 +251,15 @@ def _run_stage(
             used_a.add(cand.word_a)
             used_c.add(cand.word_c)
         anchor = cand.anchor if isinstance(cand, SynonymCandidate) else None
-        accepted.append(InducedPair(cand.word_a, cand.word_c, stage, value, tg_id, anchor))
+        accepted.append(InducedPair(cand.word_a, cand.word_c, stage, micro / MICRO, tg_id, anchor))
         chosen.append(cand)
     return StageOutcome(tuple(accepted), tuple(chosen), len(accepted) < len(ranked))
 
 
 def run_cognate_stage(
-    tg: Transgraph,
-    candidates: Sequence[PairCandidate],
-    hp: HyperParams,
-    one_to_one: bool = True,
+    tg: Transgraph, candidates: Sequence[PairCandidate], *, one_to_one: bool = True
 ) -> StageOutcome:
-    return _run_stage(candidates, hp.cognate_threshold, COGNATE, tg.id, one_to_one)
+    return _run_stage(candidates, COGNATE, tg.id, one_to_one)
 
 
 def cognate_synonym_probability(tg: Transgraph, cognate, syn_word: Word) -> float:
@@ -348,39 +342,79 @@ def _synonym_candidates(
     return sorted(by_pair.values(), key=lambda c: c.pair)
 
 
-def run_synonym_stage(
-    tg: Transgraph, cognates: Sequence[PairCandidate], hp: HyperParams
-) -> StageOutcome:
+def run_synonym_stage(tg: Transgraph, cognates: Sequence[PairCandidate]) -> StageOutcome:
     """Extract synonym partners of the accepted cognates; empty stage is fine."""
     syn_cands = _synonym_candidates(tg, cognates)
-    return _run_stage(syn_cands, hp.synonym_threshold, SYNONYM, tg.id, False)
+    return _run_stage(syn_cands, SYNONYM, tg.id, False)
 
 
-def _induce_one(args) -> tuple[int, list[InducedPair], TransgraphReport]:
-    tg, descriptor, hp = args
-    cyc = run_cycles(tg, descriptor)
-    st1 = run_cognate_stage(
-        cyc.graph, cyc.candidates, hp, one_to_one=descriptor.method != "M"
-    )
-    pairs = list(st1.accepted)
-    synonyms: tuple[InducedPair, ...] = ()
-    syn_unsat = False
-    if descriptor.method == "S":
-        st2 = run_synonym_stage(cyc.graph, st1.candidates, hp)
-        synonyms = st2.accepted
-        syn_unsat = st2.hard_unsat
-        pairs += synonyms
+def _kept(accepted: Sequence[InducedPair], threshold: float | None) -> int:
+    """How many of a stage's unthresholded acceptances a run at `threshold` keeps."""
+    if threshold is not None:
+        for i, pair in enumerate(accepted):
+            if not pair.cost < threshold:
+                return i
+    return len(accepted)
+
+
+def _cut(outcome: StageOutcome, threshold: float | None) -> StageOutcome:
+    """The prefix of an unthresholded stage run that a run at `threshold` accepts.
+
+    A cut stage stopped at the threshold, so it reports no hard_unsat; an
+    uncut one ran out of candidates as the unthresholded run did.
+    """
+    k = _kept(outcome.accepted, threshold)
+    if k == len(outcome.accepted):
+        return outcome
+    return StageOutcome(outcome.accepted[:k], outcome.candidates[:k], False)
+
+
+class StageRuns:
+    """One transgraph's unthresholded stage runs; a run at any thresholds follows.
+
+    The synonym stage (method S only) runs once per cognate prefix in use.
+    """
+
+    def __init__(self, tg: Transgraph, descriptor: MethodDescriptor):
+        self.cycles = run_cycles(tg, descriptor)
+        self.cognates = run_cognate_stage(
+            self.cycles.graph, self.cycles.candidates, one_to_one=descriptor.method != "M"
+        )
+        self.with_synonyms = descriptor.method == "S"
+        self._synonyms: dict[int, StageOutcome] = {}  # by cognate prefix length
+
+    def stages(self, ct: float | None, st: float | None) -> tuple[StageOutcome, StageOutcome]:
+        """The cognate and synonym stages of a run at thresholds (ct, st)."""
+        cognates = _cut(self.cognates, ct)
+        if not self.with_synonyms:
+            return cognates, StageOutcome((), (), False)
+        k = len(cognates.accepted)
+        if k not in self._synonyms:
+            self._synonyms[k] = run_synonym_stage(self.cycles.graph, cognates.candidates)
+        return cognates, _cut(self._synonyms[k], st)
+
+    def pairs(self, ct: float | None, st: float | None) -> tuple[InducedPair, ...]:
+        """The pairs a run at thresholds (ct, st) accepts, in order."""
+        cognates, synonyms = self.stages(ct, st)
+        return cognates.accepted + synonyms.accepted
+
+
+def _induce_one(
+    tg: Transgraph, descriptor: MethodDescriptor, hp: HyperParams
+) -> tuple[int, list[InducedPair], TransgraphReport]:
+    runs = StageRuns(tg, descriptor)
+    cognates, synonyms = runs.stages(hp.cognate_threshold, hp.synonym_threshold)
     report = TransgraphReport(
         transgraph_id=tg.id,
-        cycles_run=cyc.cycles_run,
-        fixpoint=cyc.fixpoint,
-        candidates=len(cyc.candidates),
-        cognate_pairs=len(st1.accepted),
-        synonym_pairs=len(synonyms),
-        cognate_unsat=st1.hard_unsat,
-        synonym_unsat=syn_unsat,
+        cycles_run=runs.cycles.cycles_run,
+        fixpoint=runs.cycles.fixpoint,
+        candidates=len(runs.cycles.candidates),
+        cognate_pairs=len(cognates.accepted),
+        synonym_pairs=len(synonyms.accepted),
+        cognate_unsat=cognates.hard_unsat,
+        synonym_unsat=synonyms.hard_unsat,
     )
-    return tg.id, pairs, report
+    return tg.id, list(cognates.accepted + synonyms.accepted), report
 
 
 # a worker's (graphs, descriptor, hp), set once by the pool's initializer
@@ -396,7 +430,7 @@ def _induce_chunk(
     indices: tuple[int, ...],
 ) -> list[tuple[int, list[InducedPair], TransgraphReport]]:
     graphs, descriptor, hp = _shared
-    return [_induce_one((graphs[i], descriptor, hp)) for i in indices]
+    return [_induce_one(graphs[i], descriptor, hp) for i in indices]
 
 
 def _largest_first(graphs: Sequence[Transgraph], workers: int) -> list[tuple[int, ...]]:
@@ -446,7 +480,7 @@ def induce_on_transgraphs(
         finally:
             gc.unfreeze()
     else:
-        outputs = [_induce_one((g, descriptor, hp)) for g in graphs]
+        outputs = [_induce_one(g, descriptor, hp) for g in graphs]
     pairs: list[InducedPair] = []
     reports: dict[int, TransgraphReport] = {}
     for tg_id, ps, report in sorted(outputs, key=lambda o: o[0]):

@@ -456,6 +456,17 @@ class TestOtherCommands:
         assert "t\t5.1962" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
+        "xs, ys, mean",
+        [("1e-7\n2e-7\n0\n", "0\n0\n0\n", "1e-07"), ("1e154\n9e153\n", "0\n0\n", "9.5e+153")],
+        ids=["tiny", "huge"],
+    )
+    def test_ttest_mean_diff_keeps_its_scale(self, workdir, capsys, xs, ys, mean):
+        (workdir / "xs.txt").write_text(xs, encoding="utf-8")
+        (workdir / "ys.txt").write_text(ys, encoding="utf-8")
+        assert main(["ttest", str(workdir / "xs.txt"), str(workdir / "ys.txt")]) == 0
+        assert f"mean_diff\t{mean}\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
         "xs, ys",
         [("1e308\n1e308\n", "-1e308\n-1e308\n"), ("1e200\n-1e200\n", "0\n0\n")],
         ids=["mean", "variance"],

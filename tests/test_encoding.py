@@ -244,13 +244,11 @@ class TestUpdateAfterAcceptance:
 
 class TestSynonymEncoding:
     def _stage_one(self, ab, cb, threshold=0.01):
-        from pivotlex.pipeline import HyperParams, run_cognate_stage, run_cycles, parse_method
+        from pivotlex.pipeline import _cut, run_cognate_stage, run_cycles, parse_method
 
         g = single_graph(ab, cb)
         out = run_cycles(g, parse_method("1:S:H14"))
-        st = run_cognate_stage(
-            out.graph, out.candidates, HyperParams(cognate_threshold=threshold)
-        )
+        st = _cut(run_cognate_stage(out.graph, out.candidates), threshold)
         return out.graph, out.candidates, st.candidates
 
     def test_two_thirds_share_prices_the_single_missing_link(self):

@@ -1,3 +1,4 @@
+import collections
 import functools
 import multiprocessing
 import random
@@ -15,10 +16,14 @@ from helpers import (
     wc,
 )
 from pivotlex import heuristics, pipeline
+from pivotlex.evaluation import grid_points
+from pivotlex.lexicon import PairSet
 from pivotlex.pipeline import (
     COGNATE,
     SYNONYM,
     HyperParams,
+    _cut,
+    _induce_one,
     cognate_synonym_probability,
     induce_on_transgraphs,
     parse_method,
@@ -30,6 +35,7 @@ from pivotlex.pipeline import (
     run_synonym_stage,
 )
 from pivotlex.transgraph import build_transgraphs
+from test_evaluation import _synonym_tset, pair_set
 
 
 def surfaces(pairs):
@@ -161,7 +167,7 @@ class TestCognateStage:
     def test_chain_accepts_at_zero_cost(self):
         g = single_graph([("a1", "b1")], [("c1", "b1")])
         out = run_cycles(g, parse_method("1:C:H1"))
-        st = run_cognate_stage(g, out.candidates, HyperParams())
+        st = run_cognate_stage(g, out.candidates)
         assert surfaces(st.accepted) == [("a1", "c1")]
         assert st.accepted[0].cost == 0.0
         assert not st.hard_unsat
@@ -170,22 +176,28 @@ class TestCognateStage:
         # the symmetric pair wins; its rival shares a1 and gets blocked
         g = single_graph(ASYM_AB, ASYM_CB)
         out = run_cycles(g, parse_method("1:C:H1"))
-        st = run_cognate_stage(g, out.candidates, HyperParams())
+        st = run_cognate_stage(g, out.candidates)
         assert surfaces(st.accepted) == [("a1", "c1")]
         assert st.hard_unsat  # the pick-one clause became unsatisfiable
 
     def test_zero_threshold_rejects_positive_costs(self):
         g = single_graph(ASYM_AB, ASYM_CB)
         out = run_cycles(g, parse_method("1:C:H1"))
-        st = run_cognate_stage(
-            g, out.candidates, HyperParams(cognate_threshold=0.0)
-        )
+        st = _cut(run_cognate_stage(g, out.candidates), 0.0)
         assert st.accepted == ()
 
     def test_empty_candidates(self):
         g = single_graph([("a1", "b1")], [("c1", "b1")])
-        st = run_cognate_stage(g, [], HyperParams())
+        st = run_cognate_stage(g, [])
         assert st.accepted == () and not st.hard_unsat
+
+    def test_positional_hyperparams_rejected(self):
+        # thresholds are cut after the stage; a stale positional HyperParams
+        # must not pass for one_to_one
+        g = single_graph(ASYM_AB, ASYM_CB)
+        out = run_cycles(g, parse_method("1:C:H1"))
+        with pytest.raises(TypeError):
+            run_cognate_stage(g, out.candidates, HyperParams(cognate_threshold=0.0))
 
     def test_accepted_costs_non_decreasing_without_sharing(self):
         # candidate edge sets are disjoint here, so greedy costs are sorted
@@ -193,7 +205,7 @@ class TestCognateStage:
         cb = [("c1", "b1"), ("c2", "b2"), ("c2", "b4")]
         g = single_graph(ab + [("a1", "b4")], cb + [("c1", "b3")])
         out = run_cycles(g, parse_method("1:M:H1"))
-        st = run_cognate_stage(g, out.candidates, HyperParams(), one_to_one=False)
+        st = run_cognate_stage(g, out.candidates, one_to_one=False)
         costs = [p.cost for p in st.accepted]
         assert costs == sorted(costs)
 
@@ -246,8 +258,9 @@ class TestSynonymStage:
         g = single_graph(ab, cb)
         desc = parse_method(method)
         out = run_cycles(g, desc)
-        st1 = run_cognate_stage(g, out.candidates, hp or HyperParams())
-        st2 = run_synonym_stage(out.graph, st1.candidates, hp or HyperParams())
+        hp = hp or HyperParams()
+        st1 = _cut(run_cognate_stage(g, out.candidates), hp.cognate_threshold)
+        st2 = _cut(run_synonym_stage(out.graph, st1.candidates), hp.synonym_threshold)
         return st1, st2
 
     def test_synonyms_of_both_sides(self):
@@ -286,7 +299,7 @@ class TestSynonymStage:
 
     def test_stage_empty_without_cognates(self):
         g = single_graph([("a1", "b1")], [("c1", "b1")])
-        st = run_synonym_stage(g, [], HyperParams())
+        st = run_synonym_stage(g, [])
         assert st.accepted == () and not st.hard_unsat
 
     def test_synonym_shares_anchor_pivot(self):
@@ -301,6 +314,60 @@ class TestSynonymStage:
                 if p.stage != SYNONYM:
                     continue
                 assert p.anchor in anchors
+
+
+class TestStageCalls:
+    """Every run calls the stages through pipeline's globals, each as often as needed."""
+
+    STAGES = ("run_cycles", "run_cognate_stage", "run_synonym_stage")
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """A function returning the calls per stage since it was last called."""
+        counts = collections.Counter()
+        for name in self.STAGES:
+
+            def counted(*args, _name=name, _fn=getattr(pipeline, name), **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(pipeline, name, counted)
+        return lambda: tuple(counts.pop(name, 0) for name in self.STAGES)
+
+    @staticmethod
+    def fixtures():
+        gold = pair_set(("a1", "c1"), ("a1", "c5"), ("a2", "c2"))
+        yield _synonym_tset(), gold
+        rng = random.Random(31)
+        for _ in range(4):
+            tset = build_transgraphs(*random_dictionaries(rng, n_a=5, n_b=4, n_c=5))
+            pairs = [(a, c) for g in tset.graphs for a in g.a_words for c in g.c_words]
+            gold_pairs = frozenset(p for p in pairs if rng.random() < 0.5) | {pairs[0]}
+            yield tset, PairSet(gold.lang_a, gold.lang_c, gold_pairs)
+
+    def test_grid_points_runs_each_stage_once_per_graph_or_prefix(self, calls):
+        desc = parse_method("2:S:H14")
+        for tset, gold in self.fixtures():
+            cognate_grid = sorted({p.cognate_threshold for p in grid_points(tset, desc, gold)})
+            prefixes = sum(
+                len({_induce_one(g, desc, HyperParams(ct))[2].cognate_pairs for ct in cognate_grid})
+                for g in tset.graphs
+            )
+            calls()
+            points = list(grid_points(tset, desc, gold))
+            assert len(points) == len(cognate_grid) * 101
+            graphs = len(tset.graphs)
+            assert calls() == (graphs, graphs, prefixes)
+            assert prefixes > graphs  # the fixture cuts the cognate stage somewhere
+
+    @pytest.mark.parametrize("method, synonym_runs", [("S", 1), ("C", 0), ("M", 0)])
+    def test_induce_one_runs_each_stage_once(self, calls, method, synonym_runs):
+        hp = HyperParams(0.3, 0.4)
+        for tset, _ in self.fixtures():
+            for g in tset.graphs:
+                calls()
+                _induce_one(g, parse_method(f"2:{method}:H1"), hp)
+                assert calls() == (1, 1, synonym_runs)
 
 
 class TestRunPipeline:

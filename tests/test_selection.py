@@ -26,6 +26,7 @@ from pivotlex.pipeline import (
     HyperParams,
     InducedPair,
     TransgraphReport,
+    _cut,
     _induce_one,
     _synonym_candidates,
     parse_method,
@@ -120,12 +121,14 @@ def reference_induce(tg, descriptor, hp):
 def direct_candidates(tg, descriptor, hp):
     """The candidates the pipeline's own stages accept, in order."""
     cyc = run_cycles(tg, descriptor)
-    st1 = run_cognate_stage(
-        cyc.graph, cyc.candidates, hp, one_to_one=descriptor.method != "M"
+    st1 = _cut(
+        run_cognate_stage(cyc.graph, cyc.candidates, one_to_one=descriptor.method != "M"),
+        hp.cognate_threshold,
     )
     synonyms = []
     if descriptor.method == "S":
-        synonyms = run_synonym_stage(cyc.graph, st1.candidates, hp).candidates
+        st2 = run_synonym_stage(cyc.graph, st1.candidates)
+        synonyms = _cut(st2, hp.synonym_threshold).candidates
     return [c.pair for c in st1.candidates], [c.pair for c in synonyms]
 
 
@@ -147,7 +150,7 @@ def test_direct_selection_matches_solver(method):
             rng.choice(COGNATE_THRESHOLDS), rng.choice(SYNONYM_THRESHOLDS)
         )
         for tg in build_transgraphs(d_ab, d_cb).graphs:
-            tg_id, pairs, report = _induce_one((tg, descriptor, hp))
+            tg_id, pairs, report = _induce_one(tg, descriptor, hp)
             (ref_id, ref_pairs, ref_report), *ref_accepted = reference_induce(
                 tg, descriptor, hp
             )

@@ -1,10 +1,17 @@
-"""The threshold search against a full rerun at each grid point.
+"""The threshold search against runs at its grid points.
 
-grid_search scores every (cognate, synonym) threshold point from prefixes
-of unthresholded stage runs (evaluation.StageRuns). The reference below
-runs the whole pipeline at the point's thresholds instead. At every
-sampled point both must give the same pairs, in the same order with the
-same stage, cost, anchor and transgraph, and the same metrics.
+grid_search scores every (cognate, synonym) threshold point from the
+prefixes that pipeline.StageRuns cuts from one unthresholded run per
+transgraph. Two references check it:
+
+- at sampled points, induce_on_transgraphs rerun at the point's
+  thresholds. It cuts its prefixes the same way, so this checks the
+  search's tallies, metrics and synonym-stage reuse, not the cut itself;
+- at each fixture's F-optimal point, test_selection.reference_induce,
+  the solver-driven loop that applies the thresholds itself.
+
+Both must give the same pairs, in the same order with the same stage,
+cost, anchor and transgraph; the rerun must also give the same metrics.
 """
 
 import random
@@ -12,11 +19,12 @@ import random
 import pytest
 
 from helpers import LANG_A, LANG_C, random_dictionaries, wa, wc
-from pivotlex.evaluation import StageRuns, grid_points, grid_search, score
+from pivotlex.evaluation import grid_points, grid_search, score
 from pivotlex.lexicon import PairSet
-from pivotlex.pipeline import HyperParams, induce_on_transgraphs, parse_method
+from pivotlex.pipeline import HyperParams, StageRuns, induce_on_transgraphs, parse_method
 from pivotlex.transgraph import build_transgraphs
 from test_evaluation import _planted_tset, _synonym_tset, pair_set
+from test_selection import reference_induce
 
 DESCRIPTORS = {
     "C": ["1:C:H1", "2:C:H14", "3:C:H1234", "1:C:H4", "2:C:H23"],
@@ -87,6 +95,14 @@ def test_search_matches_rerun_at_sampled_points(method):
             assert fields(got) == fields(want), context
             assert point.metrics == score(as_pair_set(want), gold), context
             checked += 1
+        hp = HyperParams(best.cognate_threshold, best.synonym_threshold)
+        solved = [
+            p
+            for g in sorted(tset.graphs, key=lambda g: g.id)
+            for p in reference_induce(g, descriptor, hp)[0][1]
+        ]
+        got = [p for run in runs for p in run.pairs(hp.cognate_threshold, hp.synonym_threshold)]
+        assert fields(got) == fields(solved), f"{descriptor} at the optimum {hp}"
     print(f"{method}: {checked} points")
     assert checked >= MIN_POINTS[method]
 
