@@ -1,5 +1,9 @@
 """Scoring against a gold standard, threshold search, cross-validation,
-and the paired comparison test."""
+and the paired comparison test.
+
+grid_search and cross_validate build one pipeline.StageRuns per transgraph
+once; one threshold sweep (_sweep) over them serves the search and every fold.
+"""
 
 from __future__ import annotations
 
@@ -9,14 +13,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .lexicon import PairSet
-from .pipeline import (
-    HyperParams,
-    MethodDescriptor,
-    StageRuns,
-    _kept,
-    induce_on_transgraphs,
-    result_pair_set,
-)
+from .pipeline import MethodDescriptor, StageRuns, _kept
 from .transgraph import Transgraph, TransgraphSet
 
 
@@ -57,44 +54,53 @@ class GridPoint:
     metrics: Metrics
 
 
+def _sweep(
+    folds: Sequence[Sequence[StageRuns]], gold: PairSet, with_synonyms: bool
+) -> Iterator[tuple[float, float | None, list[tuple[int, int]]]]:
+    """(ct, st, [(pairs, gold pairs) per fold]) at every point of the 0.01 grid.
+
+    Each fold holds one StageRuns per transgraph. The cognate axis runs past
+    the costliest unthresholded acceptance, the synonym axis (0..1 or None)
+    varies fastest. A transgraph's pairs at a point are the prefixes its
+    StageRuns cuts, as in any run there, and depend on ct only through its
+    cognate prefix (pipeline._kept): its share of its fold's totals is
+    recounted only where that prefix grows.
+    """
+    runs = [(f, run) for f, fold in enumerate(folds) for run in fold]
+    top = max((p.cost for _, r in runs for p in r.pairs(None, None)), default=0.0)
+    cognate_grid = [i / 100 for i in range(math.ceil(round(top * 100, 6)) + 2)]
+    synonym_grid = [i / 100 for i in range(101)] if with_synonyms else [None]
+    shares = [[(0, 0)] * len(synonym_grid) for _ in runs]
+    prefixes = [-1] * len(runs)  # none counted yet
+    totals = [[[0, 0] for _ in synonym_grid] for _ in folds]
+    for ct in cognate_grid:
+        for g, (f, run) in enumerate(runs):
+            prefix = _kept(run.cognates.accepted, ct)
+            if prefix == prefixes[g]:
+                continue
+            prefixes[g] = prefix
+            kept = [run.pairs(ct, st) for st in synonym_grid]
+            share = [(len(ps), sum(p.pair in gold.pairs for p in ps)) for ps in kept]
+            for total, (size, hits), (old_size, old_hits) in zip(totals[f], share, shares[g]):
+                total[0] += size - old_size
+                total[1] += hits - old_hits
+            shares[g] = share
+        for s, st in enumerate(synonym_grid):
+            yield ct, st, [(fold[s][0], fold[s][1]) for fold in totals]
+
+
 def grid_points(
     tset: TransgraphSet,
     descriptor: MethodDescriptor,
     gold: PairSet,
     beta: float = 1.0,
 ) -> Iterator[GridPoint]:
-    """Every point of the 0.01 threshold grid with the metrics of a run there.
-
-    The cognate axis runs past the costliest unthresholded acceptance; the
-    synonym axis is 0..1 for method S and None otherwise. Points come in
-    search order, the synonym threshold varying fastest. A transgraph's
-    pairs at a point are the prefixes its pipeline.StageRuns cuts, as in
-    any run at those thresholds, so nothing reruns per point.
-    """
+    """Every point of the 0.01 grid with the metrics of a run there: a one-fold _sweep."""
     # fail on the inputs score rejects, before any work
     score(PairSet(tset.lang_a, tset.lang_c, frozenset()), gold, beta)
     runs = [StageRuns(g, descriptor) for g in sorted(tset.graphs, key=lambda g: g.id)]
-    top = max((p.cost for r in runs for p in r.pairs(None, None)), default=0.0)
-    cognate_grid = [i / 100 for i in range(math.ceil(round(top * 100, 6)) + 2)]
-    synonym_grid: list[float | None]
-    synonym_grid = [i / 100 for i in range(101)] if descriptor.method == "S" else [None]
-    # (pairs, gold pairs) per synonym threshold, for each transgraph and
-    # cognate prefix length: a transgraph's pairs depend on ct through that alone
-    tallies: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for ct in cognate_grid:
-        row = []
-        for g, run in enumerate(runs):
-            key = (g, _kept(run.cognates.accepted, ct))
-            if key not in tallies:
-                kept = [run.pairs(ct, st) for st in synonym_grid]
-                tallies[key] = [
-                    (len(ps), sum(p.pair in gold.pairs for p in ps)) for ps in kept
-                ]
-            row.append(tallies[key])
-        for s, st in enumerate(synonym_grid):
-            size = sum(t[s][0] for t in row)
-            hits = sum(t[s][1] for t in row)
-            yield GridPoint(ct, st, _metrics(hits, size, len(gold.pairs), beta))
+    for ct, st, ((size, hits),) in _sweep([runs], gold, descriptor.method == "S"):
+        yield GridPoint(ct, st, _metrics(hits, size, len(gold.pairs), beta))
 
 
 def grid_search(
@@ -105,13 +111,10 @@ def grid_search(
 ) -> GridPoint:
     """Pick the thresholds maximizing F on a 0.01 grid (ties: smallest).
 
-    The metrics are those of a run at the chosen thresholds, found without
-    a run per grid point. Every run, induce's included, cuts each stage's
-    prefix from one unthresholded run per transgraph (pipeline.StageRuns):
-    the prefix ends at the first pick costing >= t, so it is not every
-    pair costing less than t, since accepting a pair can make later ones
-    cheaper. For method S the synonym stage runs once per distinct
-    cognate prefix.
+    The metrics are those of a run at the chosen thresholds: one sweep over
+    one pipeline.StageRuns per transgraph scores every point (grid_points)
+    without a run per point, running the synonym stage of method S once per
+    distinct cognate prefix.
     """
     points = grid_points(tset, descriptor, gold, beta)
     return max(points, key=lambda p: p.metrics.f_score)  # the first of equal maxima
@@ -170,35 +173,42 @@ def cross_validate(
     k: int,
     beta: float = 1.0,
 ) -> CvReport:
-    """Tune thresholds on k-1 folds of transgraphs, test on the held-out one."""
+    """Tune thresholds on k-1 folds of transgraphs, test on the held-out one.
+
+    Each fold gets what grid_search on its training transgraphs and a run
+    of its test ones at the pick would score, from one _sweep for all
+    folds: a transgraph's pair is in any restricted gold exactly when it is
+    in `gold`, a fold's training tallies are all folds' minus its own, and
+    points past its training grid repeat that grid's last metrics.
+    """
     plan = make_fold_plan([g.id for g in tset.graphs], k)
     # fail on the inputs score rejects, and on a fold without gold, before any search
     score(PairSet(tset.lang_a, tset.lang_c, frozenset()), gold, beta)
     by_id = {g.id: g for g in tset.graphs}
-    train_folds = [
-        [tid for fold in plan.folds if fold != test_ids for tid in fold]
-        for test_ids in plan.folds
-    ]
+    gold_sizes = {}  # the recall denominators, by fold and part
     for i, test_ids in enumerate(plan.folds):
-        for part, ids in (("training", train_folds[i]), ("test", test_ids)):
-            if not restrict_gold(gold, [by_id[t] for t in ids]).pairs:
+        train_ids = [t for t in by_id if t not in test_ids]
+        for part, ids in (("training", train_ids), ("test", test_ids)):
+            gold_sizes[i, part] = len(restrict_gold(gold, [by_id[t] for t in ids]).pairs)
+            if not gold_sizes[i, part]:
                 raise ValueError(
                     f"fold {i} (test transgraphs {test_ids[0]}-{test_ids[-1]}):"
                     f" no gold pair in its {part} transgraphs"
                 )
-    results = []
-    for i, test_ids in enumerate(plan.folds):
-        train_graphs = [by_id[t] for t in train_folds[i]]
-        test_graphs = [by_id[t] for t in test_ids]
-        train_set = TransgraphSet(tset.lang_a, tset.lang_b, tset.lang_c, train_graphs)
-        test_set = TransgraphSet(tset.lang_a, tset.lang_b, tset.lang_c, test_graphs)
-        train_gold = restrict_gold(gold, train_graphs)
-        best = grid_search(train_set, descriptor, train_gold, beta)
-        hp = HyperParams(best.cognate_threshold, best.synonym_threshold)
-        test_run = induce_on_transgraphs(test_set, descriptor, hp, jobs=1)
-        test_gold = restrict_gold(gold, test_graphs)
-        metrics = score(result_pair_set(test_run), test_gold, beta)
-        results.append(FoldResult(i, test_ids, best, metrics))
+    folds = [[StageRuns(by_id[t], descriptor) for t in fold] for fold in plan.folds]
+    # per fold: the first training F-maximum and the test tallies there
+    best: list[tuple[GridPoint, tuple[int, int]] | None] = [None] * k
+    for ct, st, tallies in _sweep(folds, gold, descriptor.method == "S"):
+        size = sum(n for n, _ in tallies)
+        hits = sum(h for _, h in tallies)
+        for i, (test_size, test_hits) in enumerate(tallies):
+            train = _metrics(hits - test_hits, size - test_size, gold_sizes[i, "training"], beta)
+            if best[i] is None or train.f_score > best[i][0].metrics.f_score:
+                best[i] = (GridPoint(ct, st, train), (test_size, test_hits))
+    results = [
+        FoldResult(i, plan.folds[i], point, _metrics(hits, size, gold_sizes[i, "test"], beta))
+        for i, (point, (size, hits)) in enumerate(best)
+    ]
     mean_f = sum(r.test_metrics.f_score for r in results) / len(results)
     return CvReport(plan, tuple(results), mean_f)
 

@@ -28,9 +28,10 @@ accepted cognates: each of those leaves all of its missing edges existing,
 and its pivots anchor the synonym search. A stage run at threshold t
 would make the same picks as an unthresholded one and stop at the first
 pick costing >= t: it keeps a prefix of the unthresholded acceptances,
-along which costs need not rise. So every run, induce's and
-evaluation.grid_search's alike, cuts its prefixes (_cut) from one
-unthresholded run per transgraph (StageRuns).
+along which costs need not rise. So each command builds one
+unthresholded run per transgraph (StageRuns) once and cuts prefixes
+(_cut) from it: induce at its thresholds, grid-search and every cv fold
+in one threshold sweep (evaluation._sweep).
 
 With jobs > 1, induce_on_transgraphs hands the graphs, the descriptor and
 the thresholds to the worker pool once, through its initializer, into the
@@ -148,7 +149,6 @@ class StageOutcome:
     accepted: tuple[InducedPair, ...]
     # the candidates behind `accepted`, in acceptance order
     candidates: tuple[PairCandidate | SynonymCandidate, ...]
-    hard_unsat: bool
 
 
 @dataclass(frozen=True)
@@ -160,7 +160,6 @@ class TransgraphReport:
     cognate_pairs: int
     synonym_pairs: int
     cognate_unsat: bool
-    synonym_unsat: bool
 
 
 @dataclass
@@ -209,8 +208,7 @@ def _run_stage(
     of every candidate sharing them. No hypothesized edge exists when the
     stage starts, so an edge is new until an acceptance hardens it. With
     ``exclusive``, a candidate sharing a word with an accepted one is
-    blocked. ``hard_unsat`` is True when candidates remain but every one of
-    them is blocked.
+    blocked.
     """
     ranked = sorted(candidates, key=lambda c: c.pair)
     weight = edge_micro_weights(ranked)
@@ -253,7 +251,7 @@ def _run_stage(
         anchor = cand.anchor if isinstance(cand, SynonymCandidate) else None
         accepted.append(InducedPair(cand.word_a, cand.word_c, stage, micro / MICRO, tg_id, anchor))
         chosen.append(cand)
-    return StageOutcome(tuple(accepted), tuple(chosen), len(accepted) < len(ranked))
+    return StageOutcome(tuple(accepted), tuple(chosen))
 
 
 def run_cognate_stage(
@@ -358,15 +356,9 @@ def _kept(accepted: Sequence[InducedPair], threshold: float | None) -> int:
 
 
 def _cut(outcome: StageOutcome, threshold: float | None) -> StageOutcome:
-    """The prefix of an unthresholded stage run that a run at `threshold` accepts.
-
-    A cut stage stopped at the threshold, so it reports no hard_unsat; an
-    uncut one ran out of candidates as the unthresholded run did.
-    """
+    """The prefix of an unthresholded stage run that a run at `threshold` accepts."""
     k = _kept(outcome.accepted, threshold)
-    if k == len(outcome.accepted):
-        return outcome
-    return StageOutcome(outcome.accepted[:k], outcome.candidates[:k], False)
+    return StageOutcome(outcome.accepted[:k], outcome.candidates[:k])
 
 
 class StageRuns:
@@ -387,7 +379,7 @@ class StageRuns:
         """The cognate and synonym stages of a run at thresholds (ct, st)."""
         cognates = _cut(self.cognates, ct)
         if not self.with_synonyms:
-            return cognates, StageOutcome((), (), False)
+            return cognates, StageOutcome((), ())
         k = len(cognates.accepted)
         if k not in self._synonyms:
             self._synonyms[k] = run_synonym_stage(self.cycles.graph, cognates.candidates)
@@ -404,6 +396,8 @@ def _induce_one(
 ) -> tuple[int, list[InducedPair], TransgraphReport]:
     runs = StageRuns(tg, descriptor)
     cognates, synonyms = runs.stages(hp.cognate_threshold, hp.synonym_threshold)
+    # a stage not cut short that left candidates had them blocked by uniqueness
+    uncut = len(cognates.accepted) == len(runs.cognates.accepted)
     report = TransgraphReport(
         transgraph_id=tg.id,
         cycles_run=runs.cycles.cycles_run,
@@ -411,8 +405,7 @@ def _induce_one(
         candidates=len(runs.cycles.candidates),
         cognate_pairs=len(cognates.accepted),
         synonym_pairs=len(synonyms.accepted),
-        cognate_unsat=cognates.hard_unsat,
-        synonym_unsat=synonyms.hard_unsat,
+        cognate_unsat=uncut and len(cognates.accepted) < len(runs.cycles.candidates),
     )
     return tg.id, list(cognates.accepted + synonyms.accepted), report
 
@@ -516,12 +509,7 @@ def render_report(result: InductionResult) -> str:
     lines = []
     for tg_id in sorted(result.reports):
         r = result.reports[tg_id]
-        flags = []
-        if r.cognate_unsat:
-            flags.append("cognate-stage-unsat")
-        if r.synonym_unsat:
-            flags.append("synonym-stage-unsat")
-        suffix = f" [{', '.join(flags)}]" if flags else ""
+        suffix = " [cognate-stage-unsat]" if r.cognate_unsat else ""
         lines.append(
             f"transgraph {tg_id}: cycles={r.cycles_run}"
             f" fixpoint={'yes' if r.fixpoint else 'no'}"

@@ -16,14 +16,16 @@ from helpers import (
     wc,
 )
 from pivotlex import heuristics, pipeline
-from pivotlex.evaluation import grid_points
+from pivotlex.evaluation import cross_validate, grid_points
 from pivotlex.lexicon import PairSet
 from pivotlex.pipeline import (
     COGNATE,
     SYNONYM,
     HyperParams,
+    StageOutcome,
     _cut,
     _induce_one,
+    _synonym_candidates,
     cognate_synonym_probability,
     induce_on_transgraphs,
     parse_method,
@@ -35,6 +37,7 @@ from pivotlex.pipeline import (
     run_synonym_stage,
 )
 from pivotlex.transgraph import build_transgraphs
+from test_cross_validation import random_components, random_gold
 from test_evaluation import _synonym_tset, pair_set
 
 
@@ -170,7 +173,8 @@ class TestCognateStage:
         st = run_cognate_stage(g, out.candidates)
         assert surfaces(st.accepted) == [("a1", "c1")]
         assert st.accepted[0].cost == 0.0
-        assert not st.hard_unsat
+        assert len(st.accepted) == len(out.candidates)  # none blocked
+        assert not _induce_one(g, parse_method("1:C:H1"), HyperParams())[2].cognate_unsat
 
     def test_uniqueness_blocks_second_pair(self):
         # the symmetric pair wins; its rival shares a1 and gets blocked
@@ -178,7 +182,8 @@ class TestCognateStage:
         out = run_cycles(g, parse_method("1:C:H1"))
         st = run_cognate_stage(g, out.candidates)
         assert surfaces(st.accepted) == [("a1", "c1")]
-        assert st.hard_unsat  # the pick-one clause became unsatisfiable
+        assert len(st.accepted) < len(out.candidates)  # the pick-one clause became unsatisfiable
+        assert _induce_one(g, parse_method("1:C:H1"), HyperParams())[2].cognate_unsat
 
     def test_zero_threshold_rejects_positive_costs(self):
         g = single_graph(ASYM_AB, ASYM_CB)
@@ -189,7 +194,7 @@ class TestCognateStage:
     def test_empty_candidates(self):
         g = single_graph([("a1", "b1")], [("c1", "b1")])
         st = run_cognate_stage(g, [])
-        assert st.accepted == () and not st.hard_unsat
+        assert st == StageOutcome((), ())
 
     def test_positional_hyperparams_rejected(self):
         # thresholds are cut after the stage; a stale positional HyperParams
@@ -300,7 +305,7 @@ class TestSynonymStage:
     def test_stage_empty_without_cognates(self):
         g = single_graph([("a1", "b1")], [("c1", "b1")])
         st = run_synonym_stage(g, [])
-        assert st.accepted == () and not st.hard_unsat
+        assert st == StageOutcome((), ()) and not _synonym_candidates(g, [])  # none blocked
 
     def test_synonym_shares_anchor_pivot(self):
         rng = random.Random(77)
@@ -345,20 +350,48 @@ class TestStageCalls:
             gold_pairs = frozenset(p for p in pairs if rng.random() < 0.5) | {pairs[0]}
             yield tset, PairSet(gold.lang_a, gold.lang_c, gold_pairs)
 
+    @staticmethod
+    def cognate_axis(tset, desc, gold):
+        """The search's cognate thresholds and the graphs' distinct prefixes over them."""
+        cognate_grid = sorted({p.cognate_threshold for p in grid_points(tset, desc, gold)})
+        prefixes = sum(
+            len({_induce_one(g, desc, HyperParams(ct))[2].cognate_pairs for ct in cognate_grid})
+            for g in tset.graphs
+        )
+        return cognate_grid, prefixes
+
     def test_grid_points_runs_each_stage_once_per_graph_or_prefix(self, calls):
         desc = parse_method("2:S:H14")
         for tset, gold in self.fixtures():
-            cognate_grid = sorted({p.cognate_threshold for p in grid_points(tset, desc, gold)})
-            prefixes = sum(
-                len({_induce_one(g, desc, HyperParams(ct))[2].cognate_pairs for ct in cognate_grid})
-                for g in tset.graphs
-            )
+            cognate_grid, prefixes = self.cognate_axis(tset, desc, gold)
             calls()
             points = list(grid_points(tset, desc, gold))
             assert len(points) == len(cognate_grid) * 101
             graphs = len(tset.graphs)
             assert calls() == (graphs, graphs, prefixes)
             assert prefixes > graphs  # the fixture cuts the cognate stage somewhere
+
+    def test_cross_validate_runs_each_stage_once_per_graph_or_prefix(self, calls):
+        desc = parse_method("2:S:H14")
+        rng = random.Random(37)
+        fixtures = [(_synonym_tset(), pair_set(("a1", "c1"), ("a2", "c2")))]
+        for _ in range(8):
+            tset = random_components(rng, 5, 4)
+            fixtures.append((tset, random_gold(rng, tset)))
+        folds = 0
+        for tset, gold in fixtures:
+            _, prefixes = self.cognate_axis(tset, desc, gold)
+            graphs = len(tset.graphs)
+            for k in range(2, graphs + 1):
+                calls()
+                try:
+                    cross_validate(tset, desc, gold, k)
+                except ValueError:  # a fold without gold fails before any stage runs
+                    assert calls() == (0, 0, 0)
+                    continue
+                assert calls() == (graphs, graphs, prefixes)
+                folds += k
+        assert folds >= 30
 
     @pytest.mark.parametrize("method, synonym_runs", [("S", 1), ("C", 0), ("M", 0)])
     def test_induce_one_runs_each_stage_once(self, calls, method, synonym_runs):

@@ -109,8 +109,8 @@ def reference_induce(tg, descriptor, hp):
         cognate_pairs=len(cognates),
         synonym_pairs=len(synonyms),
         cognate_unsat=cog_unsat,
-        synonym_unsat=syn_unsat,
     )
+    assert not syn_unsat  # no synonym blocks another, so the stage is never unsat
     return (
         (tg.id, cognates + synonyms, report),
         [c.pair for c in accepted],
