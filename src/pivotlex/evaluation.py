@@ -1,19 +1,22 @@
 """Scoring against a gold standard, threshold search, cross-validation,
 and the paired comparison test.
 
-grid_search and cross_validate build one pipeline.StageRuns per transgraph
-once; one threshold sweep (_sweep) over them serves the search and every fold.
+grid_search and cross_validate build one pipeline.StageRuns per transgraph once;
+one sweep (_sweep) of the 0.01 grid's breakpoints serves the search and every fold.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 from .lexicon import PairSet
-from .pipeline import MethodDescriptor, StageRuns, _kept
+from .pipeline import InducedPair, MethodDescriptor, StageRuns
 from .transgraph import Transgraph, TransgraphSet
 
 
@@ -54,53 +57,50 @@ class GridPoint:
     metrics: Metrics
 
 
+def _entries(accepted: Sequence[InducedPair], grid: Sequence[float]) -> list[int]:
+    """Per acceptance, the first grid index past its running maximum cost (pipeline._cut)."""
+    return list(accumulate((bisect_right(grid, p.cost) for p in accepted), max))
+
+
 def _sweep(
     folds: Sequence[Sequence[StageRuns]], gold: PairSet, with_synonyms: bool
 ) -> Iterator[tuple[float, float | None, list[tuple[int, int]]]]:
-    """(ct, st, [(pairs, gold pairs) per fold]) at every point of the 0.01 grid.
+    """(ct, st, [(pairs, gold pairs) per fold]) at the breakpoints of the 0.01 grid.
 
     Each fold holds one StageRuns per transgraph. The cognate axis runs past
     the costliest unthresholded acceptance, the synonym axis (0..1 or None)
-    varies fastest. A transgraph's pairs at a point are the prefixes its
-    StageRuns cuts, as in any run there, and depend on ct only through its
-    cognate prefix (pipeline._kept): its share of its fold's totals is
-    recounted only where that prefix grows.
+    varies fastest. A point's tallies are those of the prefixes the StageRuns
+    cut there, so they change only on a row where a cognate prefix grows and,
+    in it, a column where a synonym prefix grows. Only those points and each
+    row's first are yielded; every other repeats an earlier one, so a first
+    maximum is always yielded. tests/grid_reference.py sweeps every point.
     """
     runs = [(f, run) for f, fold in enumerate(folds) for run in fold]
     top = max((p.cost for _, r in runs for p in r.pairs(None, None)), default=0.0)
     cognate_grid = [i / 100 for i in range(math.ceil(round(top * 100, 6)) + 2)]
     synonym_grid = [i / 100 for i in range(101)] if with_synonyms else [None]
-    shares = [[(0, 0)] * len(synonym_grid) for _ in runs]
-    prefixes = [-1] * len(runs)  # none counted yet
-    totals = [[[0, 0] for _ in synonym_grid] for _ in folds]
-    for ct in cognate_grid:
-        for g, (f, run) in enumerate(runs):
-            prefix = _kept(run.cognates.accepted, ct)
-            if prefix == prefixes[g]:
-                continue
-            prefixes[g] = prefix
-            kept = [run.pairs(ct, st) for st in synonym_grid]
-            share = [(len(ps), sum(p.pair in gold.pairs for p in ps)) for ps in kept]
-            for total, (size, hits), (old_size, old_hits) in zip(totals[f], share, shares[g]):
-                total[0] += size - old_size
-                total[1] += hits - old_hits
+    grows = {0.0: set(range(len(runs)))}  # ct -> graphs whose cognate prefix grows there
+    for g, (_, run) in enumerate(runs):
+        for row in _entries(run.cognates.accepted, cognate_grid):
+            grows.setdefault(cognate_grid[row], set()).add(g)
+    shares = [Counter() for _ in runs]  # (column, fold, in gold) -> pairs entering there
+    steps = Counter()  # the sum of the shares
+    for ct in sorted(grows):
+        for g in grows[ct]:
+            f, run = runs[g]
+            cognates, synonyms = run.stages(ct, synonym_grid[-1])  # what the largest st keeps
+            cols = [0] * len(cognates.accepted) + _entries(synonyms.accepted, synonym_grid)
+            pairs = cognates.accepted + synonyms.accepted
+            share = Counter((col, f, p.pair in gold.pairs) for col, p in zip(cols, pairs))
+            steps.subtract(shares[g])
+            steps.update(share)
             shares[g] = share
-        for s, st in enumerate(synonym_grid):
-            yield ct, st, [(fold[s][0], fold[s][1]) for fold in totals]
-
-
-def grid_points(
-    tset: TransgraphSet,
-    descriptor: MethodDescriptor,
-    gold: PairSet,
-    beta: float = 1.0,
-) -> Iterator[GridPoint]:
-    """Every point of the 0.01 grid with the metrics of a run there: a one-fold _sweep."""
-    # fail on the inputs score rejects, before any work
-    score(PairSet(tset.lang_a, tset.lang_c, frozenset()), gold, beta)
-    runs = [StageRuns(g, descriptor) for g in sorted(tset.graphs, key=lambda g: g.id)]
-    for ct, st, ((size, hits),) in _sweep([runs], gold, descriptor.method == "S"):
-        yield GridPoint(ct, st, _metrics(hits, size, len(gold.pairs), beta))
+        sizes, hits = [0] * len(folds), [0] * len(folds)
+        for col in sorted({col for col, _, _ in +steps} | {0}):
+            for f in range(len(folds)):
+                hits[f] += steps[col, f, True]
+                sizes[f] += steps[col, f, False] + steps[col, f, True]
+            yield ct, synonym_grid[col], list(zip(sizes, hits))
 
 
 def grid_search(
@@ -112,11 +112,17 @@ def grid_search(
     """Pick the thresholds maximizing F on a 0.01 grid (ties: smallest).
 
     The metrics are those of a run at the chosen thresholds: one sweep over
-    one pipeline.StageRuns per transgraph scores every point (grid_points)
-    without a run per point, running the synonym stage of method S once per
-    distinct cognate prefix.
+    one pipeline.StageRuns per transgraph scores the grid's breakpoints
+    (_sweep) without a run per point, running the synonym stage of method S
+    once per distinct cognate prefix.
     """
-    points = grid_points(tset, descriptor, gold, beta)
+    # fail on the inputs score rejects, before any work
+    score(PairSet(tset.lang_a, tset.lang_c, frozenset()), gold, beta)
+    runs = [StageRuns(g, descriptor) for g in sorted(tset.graphs, key=lambda g: g.id)]
+    points = (
+        GridPoint(ct, st, _metrics(hits, size, len(gold.pairs), beta))
+        for ct, st, ((size, hits),) in _sweep([runs], gold, descriptor.method == "S")
+    )
     return max(points, key=lambda p: p.metrics.f_score)  # the first of equal maxima
 
 
@@ -199,8 +205,7 @@ def cross_validate(
     # per fold: the first training F-maximum and the test tallies there
     best: list[tuple[GridPoint, tuple[int, int]] | None] = [None] * k
     for ct, st, tallies in _sweep(folds, gold, descriptor.method == "S"):
-        size = sum(n for n, _ in tallies)
-        hits = sum(h for _, h in tallies)
+        size, hits = map(sum, zip(*tallies))
         for i, (test_size, test_hits) in enumerate(tallies):
             train = _metrics(hits - test_hits, size - test_size, gold_sizes[i, "training"], beta)
             if best[i] is None or train.f_score > best[i][0].metrics.f_score:

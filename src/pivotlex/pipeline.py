@@ -31,7 +31,8 @@ pick costing >= t: it keeps a prefix of the unthresholded acceptances,
 along which costs need not rise. So each command builds one
 unthresholded run per transgraph (StageRuns) once and cuts prefixes
 (_cut) from it: induce at its thresholds, grid-search and every cv fold
-in one threshold sweep (evaluation._sweep).
+in one threshold sweep (evaluation._sweep) of the thresholds where some
+prefix grows.
 
 With jobs > 1, induce_on_transgraphs hands the graphs, the descriptor and
 the thresholds to the worker pool once, through its initializer, into the
@@ -51,7 +52,6 @@ from __future__ import annotations
 
 import gc
 import heapq
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -346,18 +346,11 @@ def run_synonym_stage(tg: Transgraph, cognates: Sequence[PairCandidate]) -> Stag
     return _run_stage(syn_cands, SYNONYM, tg.id, False)
 
 
-def _kept(accepted: Sequence[InducedPair], threshold: float | None) -> int:
-    """How many of a stage's unthresholded acceptances a run at `threshold` keeps."""
-    if threshold is not None:
-        for i, pair in enumerate(accepted):
-            if not pair.cost < threshold:
-                return i
-    return len(accepted)
-
-
 def _cut(outcome: StageOutcome, threshold: float | None) -> StageOutcome:
     """The prefix of an unthresholded stage run that a run at `threshold` accepts."""
-    k = _kept(outcome.accepted, threshold)
+    k = len(outcome.accepted)
+    if threshold is not None:
+        k = next((i for i, p in enumerate(outcome.accepted) if not p.cost < threshold), k)
     return StageOutcome(outcome.accepted[:k], outcome.candidates[:k])
 
 
@@ -453,6 +446,7 @@ def induce_on_transgraphs(
     hp = hp or HyperParams()
     graphs = sorted(tset.graphs, key=lambda g: g.id)
     if jobs > 1 and len(graphs) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # slow to import: only a pool needs it
         # fork starts every worker at the first submit: start none to idle
         workers = min(jobs, len(graphs))
         # a collection walks every object it tracks and writes to each, so

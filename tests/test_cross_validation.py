@@ -1,24 +1,27 @@
 """Cross-validation against a fold-by-fold reference.
 
-cross_validate serves every fold from one threshold sweep over one
-unthresholded run per transgraph. The reference below is the plain fold
-loop: for each fold, grid_search on the training transgraphs, a run of
-the test transgraphs at the thresholds it picks, and score against the
-gold restricted to each side. Both must give equal FoldResults and mean F
-on random multi-component fixtures, for methods C, S and M and every
-fold count from 2 up to min(6, number of transgraphs).
+cross_validate serves every fold from one sweep of the threshold grid's
+breakpoints over one unthresholded run per transgraph. The reference
+below is the plain fold loop: for each fold, the full-grid search of
+grid_reference on the training transgraphs (not grid_search, which shares
+the sweep under test), a run of the test transgraphs at the thresholds it
+picks, and score against the gold restricted to each side. Both must give
+equal FoldResults and mean F on random multi-component fixtures, for
+methods C, S and M, every fold count from 2 up to min(6, number of
+transgraphs), and beta from 0.3 to 3.
 """
 
+import collections
 import random
 
 import pytest
 
+from grid_reference import reference_grid_search
 from helpers import LANG_A, LANG_C, dict_ab, dict_cb, wa, wc
 from pivotlex.evaluation import (
     CvReport,
     FoldResult,
     cross_validate,
-    grid_search,
     make_fold_plan,
     restrict_gold,
     score,
@@ -39,6 +42,7 @@ MAX_WORDS = {"C": 4, "S": 3, "M": 4}  # per language and block
 MAX_FOLDS = 6
 # compared (fixture, k) runs per method, more than 150 in all
 MIN_RUNS = {"C": 80, "S": 50, "M": 80}
+BETAS = (0.3, 1.0, 3.0)
 
 
 def reference_cross_validate(tset, descriptor, gold, k, beta=1.0):
@@ -51,7 +55,7 @@ def reference_cross_validate(tset, descriptor, gold, k, beta=1.0):
         test = [by_id[t] for t in test_ids]
         train_set = TransgraphSet(tset.lang_a, tset.lang_b, tset.lang_c, train)
         test_set = TransgraphSet(tset.lang_a, tset.lang_b, tset.lang_c, test)
-        best = grid_search(train_set, descriptor, restrict_gold(gold, train), beta)
+        best = reference_grid_search(train_set, descriptor, restrict_gold(gold, train), beta)
         hp = HyperParams(best.cognate_threshold, best.synonym_threshold)
         run = induce_on_transgraphs(test_set, descriptor, hp)
         metrics = score(result_pair_set(run), restrict_gold(gold, test), beta)
@@ -111,3 +115,25 @@ def test_cross_validate_matches_fold_by_fold_reference(method):
             runs += 1
     print(f"{method}: {runs} runs")
     assert runs >= MIN_RUNS[method]
+
+
+@pytest.mark.parametrize("method", sorted(DESCRIPTORS))
+def test_cross_validate_matches_reference_at_every_beta(method):
+    rng = random.Random(f"cross-validate-beta-{method}")
+    runs = collections.Counter()
+    for n in range(30):
+        tset = random_components(rng, MAX_BLOCKS[method], MAX_WORDS[method])
+        gold = random_gold(rng, tset)
+        descriptor = parse_method(rng.choice(DESCRIPTORS[method]))
+        beta = BETAS[n % len(BETAS)]
+        for k in range(2, min(5, len(tset.graphs)) + 1):
+            try:
+                got = cross_validate(tset, descriptor, gold, k, beta)
+            except ValueError:
+                continue
+            assert got == reference_cross_validate(tset, descriptor, gold, k, beta), (
+                f"{descriptor} k={k} beta={beta}"
+            )
+            runs[beta] += 1
+    print(f"{method}: {dict(runs)}")
+    assert all(runs[beta] >= 5 for beta in BETAS)

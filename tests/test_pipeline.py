@@ -1,4 +1,5 @@
 import collections
+import concurrent.futures
 import functools
 import multiprocessing
 import random
@@ -16,7 +17,8 @@ from helpers import (
     wc,
 )
 from pivotlex import heuristics, pipeline
-from pivotlex.evaluation import cross_validate, grid_points
+from grid_reference import grid_points
+from pivotlex.evaluation import cross_validate, grid_search
 from pivotlex.lexicon import PairSet
 from pivotlex.pipeline import (
     COGNATE,
@@ -85,7 +87,7 @@ def serial_pool(monkeypatch):
             self.tasks.extend(tasks)
             return map(fn, tasks)
 
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", SerialExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialExecutor)
     monkeypatch.setattr(pipeline, "_shared", None)
     return SerialExecutor
 
@@ -371,6 +373,14 @@ class TestStageCalls:
             assert calls() == (graphs, graphs, prefixes)
             assert prefixes > graphs  # the fixture cuts the cognate stage somewhere
 
+    def test_grid_search_runs_each_stage_once_per_graph_or_prefix(self, calls):
+        desc = parse_method("2:S:H14")
+        for tset, gold in self.fixtures():
+            _, prefixes = self.cognate_axis(tset, desc, gold)
+            calls()
+            grid_search(tset, desc, gold)
+            assert calls() == (len(tset.graphs), len(tset.graphs), prefixes)
+
     def test_cross_validate_runs_each_stage_once_per_graph_or_prefix(self, calls):
         desc = parse_method("2:S:H14")
         rng = random.Random(37)
@@ -540,9 +550,9 @@ class TestRunPipeline:
     def test_spawned_workers_get_the_same_graphs(self, monkeypatch):
         # spawned workers import afresh and unpickle the initializer's graphs
         spawn = functools.partial(
-            pipeline.ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")
+            concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")
         )
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", spawn)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spawn)
         tset = build_transgraphs(*skewed_dictionaries())
         serial = induce_on_transgraphs(tset, parse_method("1:S:H14"))
         res = induce_on_transgraphs(tset, parse_method("1:S:H14"), jobs=2)

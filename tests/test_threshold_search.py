@@ -1,8 +1,12 @@
 """The threshold search against runs at its grid points.
 
-grid_search scores every (cognate, synonym) threshold point from the
-prefixes that pipeline.StageRuns cuts from one unthresholded run per
-transgraph. Two references check it:
+grid_search scores the breakpoints of the (cognate, synonym) threshold
+grid from the prefixes that pipeline.StageRuns cuts from one
+unthresholded run per transgraph. grid_reference.grid_points scores every
+grid point the same way: grid_search must pick its first F-maximum, and
+the breakpoint sweep must give its tallies at every point, also on
+hand-set costs that sit exactly on a grid value. Two references check the
+full grid:
 
 - at sampled points, induce_on_transgraphs rerun at the point's
   thresholds. It cuts its prefixes the same way, so this checks the
@@ -19,9 +23,20 @@ import random
 import pytest
 
 from helpers import LANG_A, LANG_C, random_dictionaries, wa, wc
-from pivotlex.evaluation import grid_points, grid_search, score
+from grid_reference import full_sweep, grid_points, reference_grid_search
+from pivotlex.evaluation import _sweep, grid_search, score
 from pivotlex.lexicon import PairSet
-from pivotlex.pipeline import HyperParams, StageRuns, induce_on_transgraphs, parse_method
+from pivotlex.pipeline import (
+    COGNATE,
+    SYNONYM,
+    HyperParams,
+    InducedPair,
+    StageOutcome,
+    StageRuns,
+    _cut,
+    induce_on_transgraphs,
+    parse_method,
+)
 from pivotlex.transgraph import build_transgraphs
 from test_evaluation import _planted_tset, _synonym_tset, pair_set
 from test_selection import reference_induce
@@ -34,6 +49,7 @@ DESCRIPTORS = {
 FIXTURES = {"C": 80, "S": 70, "M": 100}
 MAX_WORDS = {"C": 5, "S": 4, "M": 5}  # per language; S reruns cost the most
 POINTS_PER_FIXTURE = 70
+BETAS = (0.3, 1.0, 3.0)
 # points checked per method: more than 10,000 in all, most of them S and M
 MIN_POINTS = {"C": 2000, "S": 5000, "M": 3500}
 
@@ -123,3 +139,137 @@ def test_search_matches_exhaustive_search(method, fixture):
     best = grid_search(tset, desc, gold)
     ct, st, metrics = exhaustive_search(tset, desc, gold)
     assert (best.cognate_threshold, best.synonym_threshold, best.metrics) == (ct, st, metrics)
+
+
+@pytest.mark.parametrize("method", sorted(DESCRIPTORS))
+def test_search_matches_full_grid_reference(method):
+    rng = random.Random(f"breakpoint-search-{method}")
+    for n in range(60):
+        n_a, n_b, n_c = (rng.randint(2, MAX_WORDS[method]) for _ in range(3))
+        d_ab, d_cb = random_dictionaries(
+            rng, n_a, n_b, n_c, p_edge=rng.choice([0.3, 0.4, 0.55])
+        )
+        tset = build_transgraphs(d_ab, d_cb)
+        descriptor = parse_method(rng.choice(DESCRIPTORS[method]))
+        gold = random_gold(rng, tset)
+        beta = BETAS[n % len(BETAS)]
+        got = grid_search(tset, descriptor, gold, beta)
+        want = reference_grid_search(tset, descriptor, gold, beta)
+        assert got == want, f"{descriptor} beta={beta}"
+
+
+# costs on a grid value, just off one (0.1 + 0.2 > 0.3, 0.57 * 100 < 57),
+# and on or past the end of the synonym axis
+COSTS = (0.0, 0.01, 0.07, 0.29, 0.3, 0.1 + 0.2, 0.5, 0.57, 0.58, 0.99, 1.0, 1.01, 1.2)
+
+
+class FixedRuns:
+    """Stage runs with set costs, for the sweeps: the cognates, and the
+    synonyms that follow each cognate prefix, cut as pipeline cuts them."""
+
+    def __init__(self, graph_id, cognate_costs, synonym_costs):
+        self.cognates = self.outcome(graph_id, COGNATE, cognate_costs)
+        self.synonyms = [self.outcome(graph_id, SYNONYM, c) for c in synonym_costs]
+
+    @staticmethod
+    def outcome(graph_id, stage, costs):
+        names = [f"{graph_id}{stage}{i}" for i in range(len(costs))]
+        pairs = tuple(
+            InducedPair(wa(name), wc(name), stage, cost, graph_id)
+            for name, cost in zip(names, costs)
+        )
+        return StageOutcome(pairs, (None,) * len(pairs))
+
+    def stages(self, ct, st):
+        cognates = _cut(self.cognates, ct)
+        return cognates, _cut(self.synonyms[len(cognates.accepted)], st)
+
+    def pairs(self, ct, st):
+        cognates, synonyms = self.stages(ct, st)
+        return cognates.accepted + synonyms.accepted
+
+
+def check_breakpoints(folds, gold, with_synonyms):
+    """_sweep's points are full_sweep's, in search order, and every point it
+    skips repeats the one before it in its row (on a visited row) or in its
+    column (on a skipped row), which comes earlier: so no first maximum of
+    a function of the tallies is skipped."""
+    visited = {}
+    for ct, st, tallies in _sweep(folds, gold, with_synonyms):
+        assert st not in visited.get(ct, {}), f"({ct}, {st}) twice"
+        visited.setdefault(ct, {})[st] = tallies
+    full = list(full_sweep(folds, gold, with_synonyms))
+    position = {(ct, st): i for i, (ct, st, _) in enumerate(full)}
+    order = [position[ct, st] for ct in visited for st in visited[ct]]
+    assert order == sorted(order), "not in search order"
+    row = last = None
+    for ct, st, tallies in full:
+        row = visited.get(ct, row)
+        last = row.get(st, last)  # each row's first column is visited
+        assert last == tallies, f"at ({ct}, {st})"
+    return visited
+
+
+def test_costs_on_a_grid_value_enter_one_step_later():
+    # a run at t keeps a pair costing exactly t never, and one costing 1.0
+    # on no synonym threshold; prefix costs need not rise
+    synonyms = [[0.5, 1.0], [1.0, 0.3], [0.07], [], [0.99]]  # after 0, 1, ... cognates
+    runs = FixedRuns(0, [0.5, 0.2, 0.57, 0.1 + 0.2], synonyms)
+    gold = PairSet(LANG_A, LANG_C, frozenset(p.pair for p in runs.pairs(None, None)))
+    visited = check_breakpoints([[runs]], gold, True)
+    assert list(visited) == [0.0, 0.51, 0.58]
+    assert {ct: list(row) for ct, row in visited.items()} == {
+        0.0: [0.0, 0.51],  # the 1.0 never enters
+        0.51: [0.0, 0.08],
+        0.58: [0.0, 1.0],  # 0.1 + 0.2 enters behind 0.57
+    }
+    assert visited[0.0][0.51] == [(1, 1)]
+    assert visited[0.51][0.0] == [(2, 2)]
+    assert visited[0.58][0.0] == [(4, 4)]
+    assert visited[0.58][1.0] == [(5, 5)]
+
+
+def test_cognate_only_costs_on_a_grid_value():
+    # two folds, no synonym axis: the 0.49 and the first 0.5 enter at 0.5 and 0.51
+    costs = [[0.5], [0.49, 0.5]]
+    runs = [FixedRuns(g, c, [[]] * (len(c) + 1)) for g, c in enumerate(costs)]
+    gold = PairSet(LANG_A, LANG_C, frozenset(p.pair for r in runs for p in r.pairs(None, None)))
+    visited = check_breakpoints([runs[:1], runs[1:]], gold, False)
+    assert {ct: list(row) for ct, row in visited.items()} == {
+        0.0: [None],
+        0.5: [None],
+        0.51: [None],
+    }
+    assert visited[0.5][None] == [(0, 0), (1, 1)]
+    assert visited[0.51][None] == [(1, 1), (2, 2)]
+
+
+def cost(rng, high):
+    return rng.choice(COSTS) if rng.random() < 0.5 else rng.uniform(0, high)
+
+
+def test_sweep_skips_only_repeated_points():
+    rng = random.Random("breakpoints")
+    for _ in range(100):
+        with_synonyms = rng.random() < 0.6  # else every run's synonym stages are empty
+        folds = []
+        for f in range(rng.randint(1, 4)):
+            fold = []
+            for g in range(rng.randint(1, 3)):
+                cognates = [cost(rng, 1.2) for _ in range(rng.randint(0, 4))]
+                synonyms = [
+                    [cost(rng, 1.0) for _ in range(rng.randint(0, 3 * with_synonyms))]
+                    for _ in range(len(cognates) + 1)
+                ]
+                fold.append(FixedRuns(f * 10 + g, cognates, synonyms))
+            folds.append(fold)
+        pairs = [
+            p.pair
+            for fold in folds
+            for r in fold
+            for outcome in [r.cognates, *r.synonyms]
+            for p in outcome.accepted
+        ]
+        kept = [p for p in pairs if rng.random() < 0.5] + [(wa("zz"), wc("zz"))]
+        gold = PairSet(LANG_A, LANG_C, frozenset(kept))
+        check_breakpoints(folds, gold, with_synonyms)
