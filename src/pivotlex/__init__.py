@@ -34,14 +34,12 @@ from .pipeline import (
     InducedPair,
     InductionResult,
     MethodDescriptor,
-    cognate_synonym_probability,
     induce_on_transgraphs,
     parse_method,
     run_cycles,
     run_pipeline,
 )
 from .polysemy import predicted_precision, sweep
-from .solver import SolveOutcome, check_assignment, solve
 from .transgraph import (
     Edge,
     Transgraph,
@@ -67,7 +65,6 @@ __all__ = [
     "PairCandidate",
     "PairSet",
     "ParseError",
-    "SolveOutcome",
     "TTestReport",
     "Transgraph",
     "TransgraphSet",
@@ -76,8 +73,6 @@ __all__ = [
     "build_gold",
     "build_transgraphs",
     "cartesian_product",
-    "check_assignment",
-    "cognate_synonym_probability",
     "component_stats",
     "cross_validate",
     "filter_big",
@@ -96,7 +91,6 @@ __all__ = [
     "run_cycles",
     "run_pipeline",
     "score",
-    "solve",
     "sweep",
     "t_cdf",
     "write_result_pairs",

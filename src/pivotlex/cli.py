@@ -13,7 +13,6 @@ import os
 import sys
 
 from . import baselines, evaluation, polysemy
-from .encoding import encode_cognate_cnf, export_wcnf
 from .lexicon import (
     ParseError,
     parse_dictionary,
@@ -252,6 +251,8 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_export_wcnf(args) -> int:
+    from .encoding import encode_cognate_cnf, export_wcnf  # only this command needs it
+
     tset = _build_transgraphs(args)
     descriptor = args.method
     graphs = tset.graphs

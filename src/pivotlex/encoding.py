@@ -1,20 +1,25 @@
-"""Weighted CNF encodings of the extraction constraints.
+"""Weighted CNF encoding of the cognate stage, and its WCNF export.
 
-Propositions are edges (the word link exists), cognate decisions and
-synonym decisions. Hard clauses pin down the known graph and the rules of
-the game; soft clauses price the hypothesized edges, so the solver's
-optimum is the cheapest consistent reading of the transgraph.
+This is what export-wcnf writes for external MaxSAT solvers. Propositions
+are edges (the word link exists) and cognate decisions. Hard clauses pin
+down the known graph and the rules of the game; soft clauses price the
+hypothesized edges, so a solver's optimum is the cheapest consistent
+reading of the transgraph.
 
-A stage formula is a pure function of the graph, the stage's candidates
-and the decisions accepted so far; a stage is replayed by encoding again
+The formula is a pure function of the graph, the stage's candidates and
+the decisions accepted so far; a stage is replayed by encoding again
 after each acceptance. Each accepted decision is a hard unit and implies
 its own edges, so the edges that exist are the graph's plus every missing
 edge of the accepted decisions, and only the candidates' other missing
 edges stay hypothesized.
 
 A soft clause's weight is kept only in integer micro-units (rounded to
-1e-6); every cost comparison and the WCNF export use that integer, so
-runs are bit-reproducible.
+1e-6 by pipeline.micro_units, which the stages price with too); the WCNF
+export writes that integer, so formulas are bit-reproducible.
+
+The synonym stage's formula, the exact solver and the WCNF reader are
+the test suite's reference (tests/maxsat_reference.py): the pipeline reads
+each stage's optimum off directly, and the tests compare it with them.
 """
 
 from __future__ import annotations
@@ -23,16 +28,13 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import IO, Iterable, Sequence
 
-from .heuristics import PairCandidate, SynonymCandidate
+from .heuristics import PairCandidate
 from .lexicon import Word
+from .pipeline import _edge_weights, micro_units
 from .transgraph import EdgeKey, Transgraph, edge_sort_key
 
-MICRO = 10**6
-
 KIND_COGNATE = "cognate"
-KIND_SYNONYM = "synonym"
 KIND_EDGE = "edge"
-KIND_RAW = "var"
 
 
 @dataclass(frozen=True)
@@ -59,13 +61,6 @@ def hard_clause(literals: Iterable[int]) -> Clause:
 def soft_clause(literals: Iterable[int], weight: float) -> Clause:
     """Soft clause; weight is floored at one micro-unit to stay positive."""
     return Clause(tuple(literals), micro=micro_units(weight))
-
-
-def micro_units(weight: float) -> int:
-    """A soft weight in integer micro-units, floored at one."""
-    if weight < 0:
-        raise ValueError("soft weight must be non-negative")
-    return max(1, round(weight * MICRO))
 
 
 class VarRegistry:
@@ -96,10 +91,6 @@ def cognate_desc(pair: tuple[Word, Word]) -> tuple:
     return (KIND_COGNATE, pair[0], pair[1])
 
 
-def synonym_desc(pair: tuple[Word, Word]) -> tuple:
-    return (KIND_SYNONYM, pair[0], pair[1])
-
-
 @dataclass
 class CnfFormula:
     registry: VarRegistry
@@ -114,22 +105,6 @@ class CnfFormula:
     @property
     def nclauses(self) -> int:
         return len(self.hard) + len(self.soft)
-
-
-def _edge_weights(cands: Sequence) -> dict[EdgeKey, float]:
-    """Per-edge soft weight: the cheapest cost among the candidates wanting it."""
-    weights: dict[EdgeKey, float] = {}
-    for cand in cands:
-        w = cand.edge_cost
-        for key in cand.missing_edges:
-            if key not in weights or w < weights[key]:
-                weights[key] = w
-    return weights
-
-
-def edge_micro_weights(cands: Sequence) -> dict[EdgeKey, int]:
-    """The soft weight, in micro-units, that the stage formula gives each edge."""
-    return {key: micro_units(w) for key, w in _edge_weights(cands).items()}
 
 
 def _edge_clauses(
@@ -224,71 +199,6 @@ def encode_cognate_cnf(
     return cnf
 
 
-def encode_synonym_cnf(
-    tg: Transgraph,
-    candidates: Sequence[PairCandidate],
-    cognates: Sequence[PairCandidate],
-    syn_candidates: Sequence[SynonymCandidate],
-    accepted: Sequence[SynonymCandidate] = (),
-) -> CnfFormula | None:
-    """Build the synonym-extraction formula; None when the stage is empty.
-
-    ``candidates`` are the cognate stage's candidates and ``cognates`` the
-    ones it accepted; the rest are pinned false. ``accepted`` are the
-    synonym decisions taken so far, a subset of ``syn_candidates``. A
-    synonym decision implies its anchor cognate plus a link from the
-    synonym word to every anchor pivot; absent links are soft with the
-    leftover synonym improbability spread evenly across them. Every
-    accepted decision, cognate or synonym, implies its edges, so they count
-    as existing; the cognate stage's leftover hypotheses play no part.
-    """
-    if not syn_candidates:
-        return None
-    reg = VarRegistry()
-    for cand in sorted(candidates, key=lambda c: c.pair):
-        reg.intern(cognate_desc(cand.pair))
-    ordered = sorted(syn_candidates, key=lambda c: c.pair)
-    for cand in ordered:
-        reg.intern(synonym_desc(cand.pair))
-    cnf = _edge_clauses(reg, tg, syn_candidates, [*cognates, *accepted])
-    counts = cnf.counts
-
-    for cand in cognates:
-        cnf.hard.append(hard_clause((reg.id_of(cognate_desc(cand.pair)),)))
-    for cand in accepted:
-        cnf.hard.append(hard_clause((reg.id_of(synonym_desc(cand.pair)),)))
-    counts["committed"] = len(cognates) + len(accepted)
-
-    kept = {cand.pair for cand in cognates}
-    rejected = sorted(
-        (c for c in candidates if c.pair not in kept), key=lambda c: c.pair
-    )
-    for cand in rejected:
-        cnf.hard.append(hard_clause((-reg.id_of(cognate_desc(cand.pair)),)))
-    counts["non_cognate"] = len(rejected)
-
-    n_link = 0
-    for cand in ordered:
-        svar = reg.id_of(synonym_desc(cand.pair))
-        cnf.hard.append(hard_clause((-svar, reg.id_of(cognate_desc(cand.anchor)))))
-        n_link += 1
-        syn_word = cand.word_c if cand.word_a == cand.anchor[0] else cand.word_a
-        side = "BC" if syn_word.lang == tg.lang_c else "AB"
-        for pivot in cand.anchor_pivots:
-            evar = reg.id_of(edge_desc((syn_word, pivot, side)))
-            cnf.hard.append(hard_clause((-svar, evar)))
-            n_link += 1
-    counts["synonym_link"] = n_link
-
-    taken = {cand.pair for cand in accepted}
-    pool = [reg.id_of(synonym_desc(c.pair)) for c in ordered if c.pair not in taken]
-    if not pool:
-        return None
-    cnf.hard.append(hard_clause(tuple(pool)))
-    counts["pick_one"] = 1
-    return cnf
-
-
 def export_wcnf(cnf: CnfFormula, sink: IO[str]) -> None:
     """Write the standard weighted-CNF text form.
 
@@ -306,38 +216,3 @@ def export_wcnf(cnf: CnfFormula, sink: IO[str]) -> None:
     for clause in cnf.soft:
         lits = " ".join(str(l) for l in clause.literals)
         sink.write(f"{clause.micro} {lits} 0\n")
-
-
-def parse_wcnf(text: str) -> CnfFormula:
-    """Read back a formula written by export_wcnf.
-
-    Weights are interpreted as micro-units, inverting the export scaling,
-    so optimal costs round-trip exactly.
-    """
-    reg = VarRegistry()
-    cnf = CnfFormula(reg)
-    top = None
-    nvars = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 5 or parts[1] != "wcnf":
-                raise ValueError(f"line {lineno}: bad header")
-            nvars, top = int(parts[2]), int(parts[4])
-            continue
-        if top is None:
-            raise ValueError(f"line {lineno}: clause before header")
-        parts = [int(p) for p in line.split()]
-        if parts[-1] != 0:
-            raise ValueError(f"line {lineno}: clause must end with 0")
-        weight, lits = parts[0], tuple(parts[1:-1])
-        if weight == top:
-            cnf.hard.append(hard_clause(lits))
-        else:
-            cnf.soft.append(Clause(lits, micro=weight))
-    for vid in range(1, nvars + 1):
-        reg.intern((KIND_RAW, vid))
-    return cnf

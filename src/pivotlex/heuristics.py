@@ -292,28 +292,3 @@ def compute_edge_cost(
         cost += (1.0 - lcsr(surface_a, surface_c)) / 100.0
     return cost
 
-
-def marginal_probability(tg: Transgraph, word: Word, side: str | None = None) -> float:
-    """Share of one dictionary side's edges that touch the given word."""
-    if side is None:
-        if word.lang == tg.lang_a:
-            side = SIDE_AB
-        elif word.lang == tg.lang_c:
-            side = SIDE_BC
-        else:
-            raise ValueError("side is required for pivot words")
-    side_edges = [e for e in tg.edges if e.side == side]
-    if not side_edges:
-        raise ValueError(f"no edges on side {side}")
-    touching = [e for e in side_edges if word in (e.non_pivot, e.pivot)]
-    return len(touching) / len(side_edges)
-
-
-def joint_probability(tg: Transgraph, non_pivot: Word, pivot: Word) -> float:
-    """Share of one dictionary side's edges that join exactly this pair."""
-    side = SIDE_AB if non_pivot.lang == tg.lang_a else SIDE_BC
-    side_edges = [e for e in tg.edges if e.side == side]
-    if not side_edges:
-        raise ValueError(f"no edges on side {side}")
-    hit = 1 if (non_pivot, pivot, side) in tg.edge_index else 0
-    return hit / len(side_edges)

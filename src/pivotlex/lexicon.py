@@ -155,26 +155,28 @@ def parse_dictionary(
     return BilingualDictionary(src, tgt, frozenset(entries))
 
 
+def _parse_pairs(
+    text: str | IO[str], lang_a: str, lang_c: str, normalize: bool, allow_result_rows: bool
+) -> PairSet:
+    lang_a, lang_c = validate_lang(lang_a), validate_lang(lang_c)
+    pairs = set()
+    for _, a, c in _parse_rows(text, normalize, allow_result_rows):
+        pairs.add((Word(lang_a, a), Word(lang_c, c)))
+    return PairSet(lang_a, lang_c, frozenset(pairs))
+
+
 def parse_gold_standard(
     text: str | IO[str], lang_a: str, lang_c: str, normalize: bool = True
 ) -> PairSet:
     """Parse a gold-standard pair file with the same normalization as dictionaries."""
-    lang_a, lang_c = validate_lang(lang_a), validate_lang(lang_c)
-    pairs = set()
-    for _, a, c in _parse_rows(text, normalize):
-        pairs.add((Word(lang_a, a), Word(lang_c, c)))
-    return PairSet(lang_a, lang_c, frozenset(pairs))
+    return _parse_pairs(text, lang_a, lang_c, normalize, allow_result_rows=False)
 
 
 def parse_pair_file(
     text: str | IO[str], lang_a: str, lang_c: str, normalize: bool = True
 ) -> PairSet:
     """Parse either a 2-field pair file or a 4-field result file as a PairSet."""
-    lang_a, lang_c = validate_lang(lang_a), validate_lang(lang_c)
-    pairs = set()
-    for _, a, c in _parse_rows(text, normalize, allow_result_rows=True):
-        pairs.add((Word(lang_a, a), Word(lang_c, c)))
-    return PairSet(lang_a, lang_c, frozenset(pairs))
+    return _parse_pairs(text, lang_a, lang_c, normalize, allow_result_rows=True)
 
 
 def write_result_pairs(result: Iterable, sink: IO[str]) -> None:

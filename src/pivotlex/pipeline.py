@@ -12,13 +12,15 @@ A run is configured by a method descriptor ``<cycle>:<method>:<heuristic>``:
 
 Each stage repeatedly accepts the cheapest consistent fresh decision
 until none is left. That decision is the optimum of the stage's weighted
-MaxSAT formula (encoding.encode_cognate_cnf / encode_synonym_cnf, solved
-by solver.solve), read off directly: every decision implies its own edges
+MaxSAT formula, read off directly: every decision implies its own edges
 and every soft weight is at least one micro-unit, so the optimum turns on
 exactly one fresh decision, the one whose still-hypothesized edges weigh
 least, ties going to the decision with the highest variable id, i.e. the
-last pair. The formula and the solver remain the exact reference that the
-tests compare this selection with.
+last pair. Prices are integer micro-units (micro_units), the same ones
+the cognate formula that export-wcnf writes (encoding) uses. The
+synonym formula and an exact solver live with the tests
+(tests/maxsat_reference.py), as the reference this selection is
+compared with.
 
 Stages pass data, not shared state. Each scoring round is one pure pass,
 heuristics.generate_candidates, that returns immutable, fully priced
@@ -38,14 +40,17 @@ With jobs > 1, induce_on_transgraphs hands the graphs, the descriptor and
 the thresholds to the worker pool once, through its initializer, into the
 module-level _shared. Under the fork start method (the Linux default
 before Python 3.14) workers inherit them and nothing is pickled; under
-spawn or forkserver each worker unpickles one copy. A task is a tuple of
-graph indices: the graphs are sorted by edge count and dealt round-robin,
-largest first, into about four chunks per worker. Workers return
-(id, pairs, report) triples, and the results are aggregated by id as in a
-serial run. The garbage collector is frozen while the pool runs
-(gc.freeze), so neither this process nor a forked worker walks, and so
-copies, the objects they share; gc.unfreeze afterwards also thaws
-whatever a caller had frozen.
+spawn or forkserver each worker unpickles a copy of every graph, which
+can cost more than the pool saves: on the bench many-small input
+(2:S:H14, seed 11, Python 3.11, 2 vCPUs), jobs=2 took a median 0.60 s
+under forkserver and 0.78-0.84 s under spawn, against 0.30-0.51 s for
+jobs=1. A task is a tuple of graph indices: the graphs are sorted by
+edge count and dealt round-robin, largest first, into about four chunks
+per worker. Workers return (id, pairs, report) triples, and the results
+are aggregated by id as in a serial run. The garbage collector is frozen
+while the pool runs (gc.freeze), so neither this process nor a forked
+worker walks, and so copies, the objects they share; gc.unfreeze
+afterwards also thaws whatever a caller had frozen.
 """
 
 from __future__ import annotations
@@ -55,7 +60,6 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .encoding import MICRO, edge_micro_weights
 from .heuristics import (
     HeuristicSelection,
     PairCandidate,
@@ -79,6 +83,31 @@ SYNONYM = "synonym"
 
 DEFAULT_MAX_EDGES = 2000
 MAX_CYCLE = 9
+
+MICRO = 10**6
+
+
+def micro_units(weight: float) -> int:
+    """A soft weight in integer micro-units, floored at one."""
+    if weight < 0:
+        raise ValueError("soft weight must be non-negative")
+    return max(1, round(weight * MICRO))
+
+
+def _edge_weights(cands: Sequence) -> dict[EdgeKey, float]:
+    """Per-edge soft weight: the cheapest cost among the candidates wanting it."""
+    weights: dict[EdgeKey, float] = {}
+    for cand in cands:
+        w = cand.edge_cost
+        for key in cand.missing_edges:
+            if key not in weights or w < weights[key]:
+                weights[key] = w
+    return weights
+
+
+def edge_micro_weights(cands: Sequence) -> dict[EdgeKey, int]:
+    """The soft weight, in micro-units, that the stage formula gives each edge."""
+    return {key: micro_units(w) for key, w in _edge_weights(cands).items()}
 
 
 @dataclass(frozen=True)
@@ -258,24 +287,6 @@ def run_cognate_stage(
     tg: Transgraph, candidates: Sequence[PairCandidate], *, one_to_one: bool = True
 ) -> StageOutcome:
     return _run_stage(candidates, COGNATE, tg.id, one_to_one)
-
-
-def cognate_synonym_probability(tg: Transgraph, cognate, syn_word: Word) -> float:
-    """Share of the cognate's pivots the synonym word is already linked to.
-
-    The cognate's pivots are those connected to both of its endpoints in
-    the graph as given (pass the post-acceptance graph for exact pipeline
-    semantics). Accepts anything with a ``pair``, such as an InducedPair or
-    a PairCandidate, or a plain (word_a, word_c) tuple.
-    """
-    wa, wc = getattr(cognate, "pair", cognate)
-    if syn_word.lang not in (wa.lang, wc.lang):
-        raise ValueError(f"{syn_word} matches neither side of the cognate pair")
-    anchor_pivots = set(tg.word_pivots.get(wa, ())) & set(tg.word_pivots.get(wc, ()))
-    if not anchor_pivots:
-        raise ValueError(f"cognate pair ({wa}, {wc}) shares no pivot")
-    linked = anchor_pivots & set(tg.word_pivots.get(syn_word, ()))
-    return len(linked) / len(anchor_pivots)
 
 
 def _synonym_candidates(

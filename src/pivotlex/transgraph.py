@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import IO, Iterable
+from typing import Iterable
 
 from .lexicon import BilingualDictionary, Word
 
@@ -46,10 +46,6 @@ class Edge:
     @property
     def key(self) -> EdgeKey:
         return (self.non_pivot, self.pivot, self.side)
-
-    @property
-    def is_proposed(self) -> bool:
-        return self.cycle > 0
 
 
 def edge_sort_key(key: EdgeKey):
@@ -244,11 +240,3 @@ def component_stats(tg: Transgraph) -> ComponentStats:
         edge_count=len(tg.edges),
     )
 
-
-def dump_transgraph(tg: Transgraph, sink: IO[str]) -> None:
-    """Debug adjacency listing: side, non_pivot, pivot, status, prob."""
-    for e in tg.edges:
-        status = "existing" if not e.is_proposed else f"proposed:{e.cycle}"
-        sink.write(
-            f"{e.side}\t{e.non_pivot.surface}\t{e.pivot.surface}\t{status}\t{e.prob:.6f}\n"
-        )

@@ -5,8 +5,10 @@ from __future__ import annotations
 import random
 
 from pivotlex.encoding import CnfFormula, VarRegistry, hard_clause, soft_clause
+from pivotlex.heuristics import HeuristicSelection, generate_candidates
 from pivotlex.lexicon import BilingualDictionary, Word
-from pivotlex.transgraph import TransgraphSet, build_transgraphs
+from pivotlex.pipeline import _synonym_candidates
+from pivotlex.transgraph import SIDE_AB, SIDE_BC, Transgraph, TransgraphSet, build_transgraphs
 
 LANG_A, LANG_B, LANG_C = "aaa", "ppp", "ccc"
 
@@ -95,3 +97,42 @@ def random_formula(rng: random.Random, max_vars: int = 18) -> CnfFormula:
         for _ in range(rng.randint(1, n))
     ]
     return CnfFormula(reg, hard=hard, soft=soft)
+
+
+def marginal_probability(tg: Transgraph, word: Word, side: str | None = None) -> float:
+    """Share of one dictionary side's edges that touch the given word."""
+    if side is None:
+        if word.lang == tg.lang_a:
+            side = SIDE_AB
+        elif word.lang == tg.lang_c:
+            side = SIDE_BC
+        else:
+            raise ValueError("side is required for pivot words")
+    side_edges = [e for e in tg.edges if e.side == side]
+    if not side_edges:
+        raise ValueError(f"no edges on side {side}")
+    touching = [e for e in side_edges if word in (e.non_pivot, e.pivot)]
+    return len(touching) / len(side_edges)
+
+
+def joint_probability(tg: Transgraph, non_pivot: Word, pivot: Word) -> float:
+    """Share of one dictionary side's edges that join exactly this pair."""
+    side = SIDE_AB if non_pivot.lang == tg.lang_a else SIDE_BC
+    side_edges = [e for e in tg.edges if e.side == side]
+    if not side_edges:
+        raise ValueError(f"no edges on side {side}")
+    hit = 1 if (non_pivot, pivot, side) in tg.edge_index else 0
+    return hit / len(side_edges)
+
+
+def synonym_shares(tg: Transgraph, anchor: tuple[Word, Word]) -> dict[Word, float]:
+    """Each synonym word's shared_prob when ``anchor`` is the one accepted cognate."""
+    (cognate,) = [
+        c
+        for c in generate_candidates(tg, HeuristicSelection.from_token("H1"))
+        if c.pair == anchor
+    ]
+    return {
+        s.word_c if s.word_a == anchor[0] else s.word_a: s.shared_prob
+        for s in _synonym_candidates(tg, [cognate])
+    }

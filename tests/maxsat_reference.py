@@ -1,19 +1,144 @@
-"""Exact weighted partial MaxSAT solving.
+"""The exact weighted MaxSAT reference the pipeline is tested against.
+
+The pipeline reads each stage's optimum off directly. This module keeps
+what that shortcut is checked with: the synonym stage's formula
+(encode_synonym_cnf; the cognate stage's is pivotlex.encoding's, which
+export-wcnf writes), a reader for the WCNF text export_wcnf writes
+(parse_wcnf), and an exact solver.
 
 solve() is a branch-and-bound search with unit propagation over the hard
 clauses. It returns the canonical optimum: minimal total weight of
 falsified soft clauses, ties broken by preferring false for the lowest-id
-variable, so results are bit-reproducible. With check_assignment() and the
-WCNF export it is the exact reference the pipeline's direct selection is
-tested against; the test suite checks it in turn against an exhaustive
-oracle.
+variable, so results are bit-reproducible. check_assignment() prices a
+total assignment independently. The exhaustive oracle in oracle.py checks
+solve() in turn.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from .encoding import MICRO, Clause, CnfFormula
+from pivotlex.encoding import (
+    Clause,
+    CnfFormula,
+    VarRegistry,
+    _edge_clauses,
+    cognate_desc,
+    edge_desc,
+    hard_clause,
+)
+from pivotlex.heuristics import PairCandidate, SynonymCandidate
+from pivotlex.lexicon import Word
+from pivotlex.pipeline import MICRO
+from pivotlex.transgraph import Transgraph
+
+KIND_SYNONYM = "synonym"
+KIND_RAW = "var"
+
+
+def synonym_desc(pair: tuple[Word, Word]) -> tuple:
+    return (KIND_SYNONYM, pair[0], pair[1])
+
+
+def encode_synonym_cnf(
+    tg: Transgraph,
+    candidates: Sequence[PairCandidate],
+    cognates: Sequence[PairCandidate],
+    syn_candidates: Sequence[SynonymCandidate],
+    accepted: Sequence[SynonymCandidate] = (),
+) -> CnfFormula | None:
+    """Build the synonym-extraction formula; None when the stage is empty.
+
+    ``candidates`` are the cognate stage's candidates and ``cognates`` the
+    ones it accepted; the rest are pinned false. ``accepted`` are the
+    synonym decisions taken so far, a subset of ``syn_candidates``. A
+    synonym decision implies its anchor cognate plus a link from the
+    synonym word to every anchor pivot; absent links are soft with the
+    leftover synonym improbability spread evenly across them. Every
+    accepted decision, cognate or synonym, implies its edges, so they count
+    as existing; the cognate stage's leftover hypotheses play no part.
+    """
+    if not syn_candidates:
+        return None
+    reg = VarRegistry()
+    for cand in sorted(candidates, key=lambda c: c.pair):
+        reg.intern(cognate_desc(cand.pair))
+    ordered = sorted(syn_candidates, key=lambda c: c.pair)
+    for cand in ordered:
+        reg.intern(synonym_desc(cand.pair))
+    cnf = _edge_clauses(reg, tg, syn_candidates, [*cognates, *accepted])
+    counts = cnf.counts
+
+    for cand in cognates:
+        cnf.hard.append(hard_clause((reg.id_of(cognate_desc(cand.pair)),)))
+    for cand in accepted:
+        cnf.hard.append(hard_clause((reg.id_of(synonym_desc(cand.pair)),)))
+    counts["committed"] = len(cognates) + len(accepted)
+
+    kept = {cand.pair for cand in cognates}
+    rejected = sorted(
+        (c for c in candidates if c.pair not in kept), key=lambda c: c.pair
+    )
+    for cand in rejected:
+        cnf.hard.append(hard_clause((-reg.id_of(cognate_desc(cand.pair)),)))
+    counts["non_cognate"] = len(rejected)
+
+    n_link = 0
+    for cand in ordered:
+        svar = reg.id_of(synonym_desc(cand.pair))
+        cnf.hard.append(hard_clause((-svar, reg.id_of(cognate_desc(cand.anchor)))))
+        n_link += 1
+        syn_word = cand.word_c if cand.word_a == cand.anchor[0] else cand.word_a
+        side = "BC" if syn_word.lang == tg.lang_c else "AB"
+        for pivot in cand.anchor_pivots:
+            evar = reg.id_of(edge_desc((syn_word, pivot, side)))
+            cnf.hard.append(hard_clause((-svar, evar)))
+            n_link += 1
+    counts["synonym_link"] = n_link
+
+    taken = {cand.pair for cand in accepted}
+    pool = [reg.id_of(synonym_desc(c.pair)) for c in ordered if c.pair not in taken]
+    if not pool:
+        return None
+    cnf.hard.append(hard_clause(tuple(pool)))
+    counts["pick_one"] = 1
+    return cnf
+
+
+def parse_wcnf(text: str) -> CnfFormula:
+    """Read back a formula written by export_wcnf.
+
+    Weights are interpreted as micro-units, inverting the export scaling,
+    so optimal costs round-trip exactly.
+    """
+    reg = VarRegistry()
+    cnf = CnfFormula(reg)
+    top = None
+    nvars = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        if line.startswith("p"):
+            parts = line.split()
+            if len(parts) != 5 or parts[1] != "wcnf":
+                raise ValueError(f"line {lineno}: bad header")
+            nvars, top = int(parts[2]), int(parts[4])
+            continue
+        if top is None:
+            raise ValueError(f"line {lineno}: clause before header")
+        parts = [int(p) for p in line.split()]
+        if parts[-1] != 0:
+            raise ValueError(f"line {lineno}: clause must end with 0")
+        weight, lits = parts[0], tuple(parts[1:-1])
+        if weight == top:
+            cnf.hard.append(hard_clause(lits))
+        else:
+            cnf.soft.append(Clause(lits, micro=weight))
+    for vid in range(1, nvars + 1):
+        reg.intern((KIND_RAW, vid))
+    return cnf
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Exhaustive weighted partial MaxSAT oracle for testing solver.solve.
+"""Exhaustive weighted partial MaxSAT oracle for testing maxsat_reference.solve.
 
 brute_force_solve() enumerates every assignment, vectorized with numpy,
 and returns the same canonical optimum as solve(): minimal total weight of
@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from pivotlex.encoding import MICRO, CnfFormula
-from pivotlex.solver import SolveOutcome, _validate
+from maxsat_reference import SolveOutcome, _validate
+from pivotlex.encoding import CnfFormula
+from pivotlex.pipeline import MICRO
 
 BRUTE_FORCE_LIMIT = 25
 _CHUNK_BITS = 20

@@ -395,6 +395,18 @@ def test_import_leaves_numpy_and_scipy_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("module", ["pivotlex", "pivotlex.cli"])
+def test_import_leaves_encoding_unloaded(module):
+    # only export-wcnf needs the clause encoding; it imports it when it runs
+    code = f"import sys, {module}; print('pivotlex.encoding' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(pivotlex.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_no_command_needs_numpy_or_scipy(workdir):
     (workdir / "xs.txt").write_text("0.1\n0.2\n0.15\n", encoding="utf-8")
     (workdir / "ys.txt").write_text("0\n0\n0\n", encoding="utf-8")

@@ -6,8 +6,8 @@ from itertools import combinations
 import pytest
 
 from helpers import ASYM_AB, ASYM_CB, random_dictionaries, single_graph, wa, wb, wc
+from maxsat_reference import encode_synonym_cnf, parse_wcnf, solve
 from pivotlex.encoding import (
-    MICRO,
     Clause,
     CnfFormula,
     VarRegistry,
@@ -16,11 +16,10 @@ from pivotlex.encoding import (
     encode_cognate_cnf,
     export_wcnf,
     hard_clause,
-    parse_wcnf,
     soft_clause,
 )
 from pivotlex.heuristics import HeuristicSelection, generate_candidates
-from pivotlex.solver import solve
+from pivotlex.pipeline import MICRO
 from pivotlex.transgraph import build_transgraphs
 
 
@@ -252,7 +251,6 @@ class TestSynonymEncoding:
         return out.graph, out.candidates, st.candidates
 
     def test_two_thirds_share_prices_the_single_missing_link(self):
-        from pivotlex.encoding import encode_synonym_cnf
         from pivotlex.pipeline import _synonym_candidates
 
         ab = [("a1", "b1"), ("a1", "b2"), ("a1", "b3")]
@@ -268,7 +266,6 @@ class TestSynonymEncoding:
         assert sc.micro / MICRO == pytest.approx(1 / 3, abs=1e-6)
 
     def test_half_share_splits_evenly_over_two_links(self):
-        from pivotlex.encoding import encode_synonym_cnf
         from pivotlex.pipeline import _synonym_candidates
 
         ab = [(f"a1", f"b{i}") for i in range(1, 5)]
@@ -285,7 +282,6 @@ class TestSynonymEncoding:
             assert sc.micro / MICRO == pytest.approx(0.25, abs=1e-6)
 
     def test_encoding_is_pure(self):
-        from pivotlex.encoding import encode_synonym_cnf
         from pivotlex.pipeline import _synonym_candidates
 
         ab = [(f"a1", f"b{i}") for i in range(1, 5)]
@@ -300,7 +296,6 @@ class TestSynonymEncoding:
         assert (cands, cognates, syn_cands) == kept
 
     def test_rejected_cognates_are_pinned_false(self):
-        from pivotlex.encoding import encode_synonym_cnf
         from pivotlex.pipeline import _synonym_candidates
 
         ab = [("a1", "b1"), ("a1", "b2"), ("a1", "b3")]
@@ -320,7 +315,6 @@ class TestSynonymEncoding:
         assert cnf.counts["non_cognate"] == len(rejected)
 
     def test_every_synonym_accepted_gives_none(self):
-        from pivotlex.encoding import encode_synonym_cnf
         from pivotlex.pipeline import _synonym_candidates
 
         ab = [("a1", "b1"), ("a1", "b2"), ("a1", "b3")]

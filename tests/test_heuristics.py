@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 from helpers import (
     ASYM_AB,
     ASYM_CB,
+    joint_probability,
+    marginal_probability,
     random_dictionaries,
     single_graph,
     wa,
@@ -21,9 +23,7 @@ from pivotlex.heuristics import (
     compute_tables,
     generate_candidates,
     _lcs_len,
-    joint_probability,
     lcsr,
-    marginal_probability,
 )
 from pivotlex.transgraph import SIDE_AB, SIDE_BC, build_transgraphs
 

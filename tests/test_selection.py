@@ -13,12 +13,8 @@ import random
 import pytest
 
 from helpers import random_dictionaries
-from pivotlex.encoding import (
-    cognate_desc,
-    encode_cognate_cnf,
-    encode_synonym_cnf,
-    synonym_desc,
-)
+from maxsat_reference import encode_synonym_cnf, solve, synonym_desc
+from pivotlex.encoding import cognate_desc, encode_cognate_cnf
 from pivotlex.heuristics import SynonymCandidate
 from pivotlex.pipeline import (
     COGNATE,
@@ -34,7 +30,6 @@ from pivotlex.pipeline import (
     run_cycles,
     run_synonym_stage,
 )
-from pivotlex.solver import solve
 from pivotlex.transgraph import build_transgraphs
 
 DESCRIPTORS = {

