@@ -41,7 +41,6 @@ from .pipeline import (
 )
 from .polysemy import predicted_precision, sweep
 from .transgraph import (
-    Edge,
     Transgraph,
     TransgraphSet,
     add_new_edges,
@@ -54,7 +53,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BilingualDictionary",
-    "Edge",
     "GridPoint",
     "HeuristicSelection",
     "HyperParams",

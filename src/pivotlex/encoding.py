@@ -31,7 +31,7 @@ from typing import IO, Iterable, Sequence
 from .heuristics import PairCandidate
 from .lexicon import Word
 from .pipeline import _edge_weights, micro_units
-from .transgraph import EdgeKey, Transgraph, edge_sort_key
+from .transgraph import SIDE_AB, SIDE_BC, EdgeKey, Transgraph, edge_sort_key
 
 KIND_COGNATE = "cognate"
 KIND_EDGE = "edge"
@@ -119,7 +119,7 @@ def _edge_clauses(
     decision) are pinned true; the candidates' other missing edges are soft
     false at the cheapest cost among the candidates wanting them.
     """
-    existing = {e.key for e in tg.edges}
+    existing = set(tg.edges)
     existing.update(key for cand in accepted for key in cand.missing_edges)
     new = {key for cand in candidates for key in cand.missing_edges} - existing
     for key in sorted(existing | new, key=edge_sort_key):
@@ -163,9 +163,9 @@ def encode_cognate_cnf(
     n_sym = 0
     for cand in ordered:
         cvar = reg.id_of(cognate_desc(cand.pair))
-        for path in sorted(cand.paths, key=lambda p: p.pivot):
-            ab = reg.id_of(edge_desc((cand.word_a, path.pivot, "AB")))
-            bc = reg.id_of(edge_desc((cand.word_c, path.pivot, "BC")))
+        for pivot in cand.pivots:
+            ab = reg.id_of(edge_desc((cand.word_a, pivot, SIDE_AB)))
+            bc = reg.id_of(edge_desc((cand.word_c, pivot, SIDE_BC)))
             cnf.hard.append(hard_clause((-cvar, ab)))
             cnf.hard.append(hard_clause((-cvar, bc)))
             n_sym += 2

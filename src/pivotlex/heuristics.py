@@ -31,33 +31,17 @@ from .lexicon import Word
 from .transgraph import SIDE_AB, SIDE_BC, EdgeKey, Transgraph
 
 
-@dataclass(frozen=True)
-class Path:
-    """One pivot linking (or almost linking) a candidate pair."""
-
-    pivot: Word
-    has_ab: bool
-    has_bc: bool
-
-    def __post_init__(self):
-        if not (self.has_ab or self.has_bc):
-            raise ValueError("path must have at least one real edge")
-
-    @property
-    def complete(self) -> bool:
-        return self.has_ab and self.has_bc
-
-
 class PairCandidate(NamedTuple):
     """An (A-word, C-word) translation pair candidate, scored and immutable.
 
-    ``paths`` covers every pivot of either word, in pivot order;
+    ``pivots`` holds every pivot of either word, in pivot order; a pivot
+    linked to only one of them has its absent edge in ``missing_edges``.
     ``edge_cost`` is the price of each of the missing edges.
     """
 
     word_a: Word
     word_c: Word
-    paths: tuple[Path, ...]
+    pivots: tuple[Word, ...]
     missing_edges: tuple[EdgeKey, ...]
     coexistence: float
     edge_cost: float
@@ -155,21 +139,21 @@ def compute_tables(tg: Transgraph) -> ConditionalTables:
     from_a: dict[Word, float] = {}
     from_c: dict[Word, float] = {}
     from_pivot: dict[Word, float] = {}
-    for e in tg.edges:
-        w = 1.0 / e.prob
-        side = from_a if e.side == SIDE_AB else from_c
-        side[e.pivot] = side.get(e.pivot, 0.0) + w
-        from_pivot[e.non_pivot] = from_pivot.get(e.non_pivot, 0.0) + w
+    for (non_pivot, pivot, side), prob in tg.edges.items():
+        w = 1.0 / prob
+        table = from_a if side == SIDE_AB else from_c
+        table[pivot] = table.get(pivot, 0.0) + w
+        from_pivot[non_pivot] = from_pivot.get(non_pivot, 0.0) + w
     return ConditionalTables(from_a, from_c, from_pivot)
 
 
 def generate_candidates(tg: Transgraph, sel: HeuristicSelection) -> list[PairCandidate]:
-    """Enumerate and score pairs joined by at least one complete pivot path.
+    """Enumerate and score pairs joined through at least one shared pivot.
 
-    A candidate's path list covers every pivot adjacent to either of its
-    words; pivots adjacent to only one side become incomplete paths whose
-    absent edge is recorded in missing_edges. Each pair is priced under
-    ``sel`` against the graph as given. Output is ordered by pair.
+    A candidate's pivots are every pivot adjacent to either of its words;
+    a pivot adjacent to only one of them is incomplete, and its absent
+    edge is recorded in missing_edges. Each pair is priced under ``sel``
+    against the graph as given. Output is ordered by pair.
     """
     tables = compute_tables(tg)
     out: list[PairCandidate] = []
@@ -179,21 +163,17 @@ def generate_candidates(tg: Transgraph, sel: HeuristicSelection) -> list[PairCan
         for b in pivots_a:
             reachable.update(tg.pivot_c_neighbors.get(b, ()))
         for c in sorted(reachable):
-            pivots_c = set(tg.word_pivots.get(c, ()))
-            paths = []
+            pivots = tuple(sorted(pivots_a | set(tg.word_pivots.get(c, ()))))
             missing = []
-            for b in sorted(pivots_a | pivots_c):
-                has_ab = (a, b, SIDE_AB) in tg.edge_index
-                has_bc = (c, b, SIDE_BC) in tg.edge_index
-                paths.append(Path(b, has_ab, has_bc))
-                if not has_ab:
+            for b in pivots:
+                if (a, b, SIDE_AB) not in tg.edges:
                     missing.append((a, b, SIDE_AB))
-                if not has_bc:
+                if (c, b, SIDE_BC) not in tg.edges:
                     missing.append((c, b, SIDE_BC))
             missing.sort()
-            coex, miss, amb = compute_cognate_probabilities(a, c, paths, missing, tables)
+            coex, miss, amb = compute_cognate_probabilities(a, c, pivots, missing, tables)
             cost = compute_edge_cost(sel, coex, miss, amb, a.surface, c.surface)
-            out.append(PairCandidate(a, c, tuple(paths), tuple(missing), coex, cost))
+            out.append(PairCandidate(a, c, pivots, tuple(missing), coex, cost))
     return out
 
 
@@ -204,20 +184,21 @@ _MAX_SENSE_EXPONENT = 62
 def compute_cognate_probabilities(
     a: Word,
     c: Word,
-    paths: Sequence[Path],
+    pivots: Sequence[Word],
     missing_edges: Sequence[EdgeKey],
     tables: ConditionalTables,
 ) -> tuple[float, float, float]:
     """Heuristics 1-3 of (a, c): (coexistence, missing_contribution, pivot_ambiguity).
 
-    Complete paths feed the coexistence product; incomplete paths feed the
-    missing-contribution difference, with the pair's own hypothesized
+    A pivot is complete when neither of its edges to a and c is missing.
+    Complete pivots feed the coexistence product; incomplete pivots feed
+    the missing-contribution difference, with the pair's own hypothesized
     edges counted as existing (at probability 1) in those denominators only.
     The pivot ambiguity is 1 minus the probability that the pair shares
     exact senses.
     """
-    if not paths:
-        raise ValueError(f"candidate {(a, c)} has no paths")
+    if not pivots:
+        raise ValueError(f"candidate {(a, c)} has no pivots")
     hyp_ab = {pv for (_, pv, side) in missing_edges if side == SIDE_AB}
     hyp_bc = {pv for (_, pv, side) in missing_edges if side == SIDE_BC}
     sup_from_pivot_a = tables.from_pivot.get(a, 0.0) + len(hyp_ab)
@@ -225,9 +206,8 @@ def compute_cognate_probabilities(
 
     p_ac = p_ca = miss_ac = miss_ca = 0.0
     shared = 1.0
-    for path in paths:
-        b = path.pivot
-        if path.complete:
+    for b in pivots:
+        if b not in hyp_ab and b not in hyp_bc:
             p_ac += (1.0 / tables.from_a[b]) * (1.0 / tables.from_pivot[c])
             p_ca += (1.0 / tables.from_c[b]) * (1.0 / tables.from_pivot[a])
             # senses modelled as a count: round the real-valued degree up

@@ -42,15 +42,16 @@ module-level _shared. Under the fork start method (the Linux default
 before Python 3.14) workers inherit them and nothing is pickled; under
 spawn or forkserver each worker unpickles a copy of every graph, which
 can cost more than the pool saves: on the bench many-small input
-(2:S:H14, seed 11, Python 3.11, 2 vCPUs), jobs=2 took a median 0.60 s
-under forkserver and 0.78-0.84 s under spawn, against 0.30-0.51 s for
-jobs=1. A task is a tuple of graph indices: the graphs are sorted by
-edge count and dealt round-robin, largest first, into about four chunks
-per worker. Workers return (id, pairs, report) triples, and the results
-are aggregated by id as in a serial run. The garbage collector is frozen
-while the pool runs (gc.freeze), so neither this process nor a forked
-worker walks, and so copies, the objects they share; gc.unfreeze
-afterwards also thaws whatever a caller had frozen.
+(2:S:H14, seed 11, Python 3.11.7, 2 vCPUs, medians of 11 runs), jobs=2
+took 0.95 s under forkserver and 1.04 s under spawn, against 0.70 s for
+jobs=1 and 0.60 s for jobs=2 under fork. A task is a tuple of graph
+indices: the graphs are sorted by edge count and dealt round-robin,
+largest first, into about four chunks per worker. Workers return (id,
+pairs, report) triples, and the results are aggregated by id as in a
+serial run. The garbage collector is frozen while the pool runs
+(gc.freeze), so neither this process nor a forked worker walks, and so
+copies, the objects they share; gc.unfreeze afterwards also thaws
+whatever a caller had frozen.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ from .heuristics import (
     SynonymCandidate,
     generate_candidates,
 )
-from .lexicon import BilingualDictionary, PairSet, Word
+from .lexicon import BilingualDictionary, Word
 from .transgraph import (
     SIDE_AB,
     SIDE_BC,
@@ -82,7 +83,6 @@ COGNATE = "cognate"
 SYNONYM = "synonym"
 
 DEFAULT_MAX_EDGES = 2000
-MAX_CYCLE = 9
 
 MICRO = 10**6
 
@@ -213,7 +213,7 @@ def run_cycles(tg: Transgraph, descriptor: MethodDescriptor) -> CycleResult:
     cycles = 1
     fixpoint = not any(c.missing_edges for c in candidates)
     for cyc in range(2, descriptor.cycle + 1):
-        grown = add_new_edges(graph, candidates, cycle=cyc - 1)
+        grown = add_new_edges(graph, candidates)
         if grown is graph:
             fixpoint = True
             break
@@ -296,7 +296,7 @@ def _synonym_candidates(
 
     The graph counts the missing edges that accepting the cognates hardened.
     """
-    present = {e.key for e in tg.edges}
+    present = set(tg.edges)
     for cog in cognates:
         present.update(cog.missing_edges)
     taken = {cog.pair for cog in cognates}
@@ -321,8 +321,7 @@ def _synonym_candidates(
 
     for anchor in sorted(cognates, key=lambda c: c.pair):
         wa, wc = anchor.pair
-        # paths, and so the pivots, come in pivot order
-        pivots = tuple(p.pivot for p in anchor.paths)
+        pivots = anchor.pivots  # in pivot order
         for side, seed_word, neighbours in (
             (SIDE_BC, wc, pivot_c),
             (SIDE_AB, wa, pivot_a),
@@ -499,14 +498,6 @@ def run_pipeline(
     """Dictionaries in, induced pair list out."""
     tset = filter_big(build_transgraphs(dict_ab, dict_cb), max_edges)
     return induce_on_transgraphs(tset, descriptor, hp, jobs=jobs)
-
-
-def result_pair_set(result: InductionResult) -> PairSet:
-    return PairSet(
-        result.lang_a,
-        result.lang_c,
-        frozenset((p.word_a, p.word_c) for p in result.pairs),
-    )
 
 
 def render_report(result: InductionResult) -> str:

@@ -3,7 +3,10 @@
 A transgraph holds words of languages A and C on the outside and pivot
 words of language B in the middle; an edge marks a shared-meaning
 indication taken from the input dictionaries (or proposed later by the
-symmetry-completion cycles).
+symmetry-completion cycles). A graph's edges are one map from edge key,
+(non-pivot, pivot, side), to probability, kept in edge_sort_key order:
+dictionary edges have probability 1, and a proposed edge has the
+proposing pair's coexistence, clamped into [MIN_EDGE_PROB, 1].
 """
 
 from __future__ import annotations
@@ -23,31 +26,6 @@ MIN_EDGE_PROB = 1e-6
 EdgeKey = tuple[Word, Word, str]  # (non_pivot, pivot, side)
 
 
-@dataclass(frozen=True)
-class Edge:
-    """One non-pivot/pivot link. cycle 0 = from the input dictionaries."""
-
-    non_pivot: Word
-    pivot: Word
-    side: str
-    cycle: int = 0
-    prob: float = 1.0
-
-    def __post_init__(self):
-        if self.side not in (SIDE_AB, SIDE_BC):
-            raise ValueError(f"bad edge side: {self.side!r}")
-        if not 0.0 < self.prob <= 1.0:
-            raise ValueError(f"edge prob out of (0, 1]: {self.prob}")
-        if self.cycle == 0 and self.prob != 1.0:
-            raise ValueError("dictionary edges must have prob 1")
-        if self.cycle < 0:
-            raise ValueError("cycle must be >= 0")
-
-    @property
-    def key(self) -> EdgeKey:
-        return (self.non_pivot, self.pivot, self.side)
-
-
 def edge_sort_key(key: EdgeKey):
     non_pivot, pivot, side = key
     return (side, non_pivot, pivot)
@@ -58,33 +36,27 @@ class Transgraph:
     """One connected component of the joined dictionaries."""
 
     id: int
-    lang_a: str
-    lang_b: str
-    lang_c: str
     a_words: frozenset[Word]
     b_words: frozenset[Word]
     c_words: frozenset[Word]
-    edges: tuple[Edge, ...]
-
-    @cached_property
-    def edge_index(self) -> dict[EdgeKey, Edge]:
-        return {e.key: e for e in self.edges}
+    # edge key -> probability, in edge_sort_key order
+    edges: dict[EdgeKey, float]
 
     @cached_property
     def word_pivots(self) -> dict[Word, tuple[Word, ...]]:
         """Non-pivot word -> its pivot neighbours, sorted."""
         adj: dict[Word, set[Word]] = {}
-        for e in self.edges:
-            adj.setdefault(e.non_pivot, set()).add(e.pivot)
+        for non_pivot, pivot, _ in self.edges:
+            adj.setdefault(non_pivot, set()).add(pivot)
         return {w: tuple(sorted(ps)) for w, ps in adj.items()}
 
     @cached_property
     def pivot_c_neighbors(self) -> dict[Word, tuple[Word, ...]]:
         """Pivot word -> its C-side neighbours, sorted."""
         adj: dict[Word, set[Word]] = {}
-        for e in self.edges:
-            if e.side == SIDE_BC:
-                adj.setdefault(e.pivot, set()).add(e.non_pivot)
+        for non_pivot, pivot, side in self.edges:
+            if side == SIDE_BC:
+                adj.setdefault(pivot, set()).add(non_pivot)
         return {b: tuple(sorted(ws)) for b, ws in adj.items()}
 
 
@@ -147,33 +119,28 @@ def build_transgraphs(
         raise ValueError("the two non-pivot languages must differ")
     lang_a, lang_b, lang_c = dict_ab.source, dict_ab.target, dict_cb.source
 
-    edges = [Edge(a, b, SIDE_AB) for a, b in sorted(dict_ab.entries)]
-    edges += [Edge(c, b, SIDE_BC) for c, b in sorted(dict_cb.entries)]
+    keys = [(a, b, SIDE_AB) for a, b in sorted(dict_ab.entries)]
+    keys += [(c, b, SIDE_BC) for c, b in sorted(dict_cb.entries)]
 
     uf = UnionFind()
-    for e in edges:
-        uf.union(e.non_pivot, e.pivot)
+    for non_pivot, pivot, _ in keys:
+        uf.union(non_pivot, pivot)
 
-    by_root: dict[Word, list[Edge]] = {}
-    for e in edges:
-        by_root.setdefault(uf.find(e.non_pivot), []).append(e)
+    by_root: dict[Word, list[EdgeKey]] = {}
+    for key in keys:
+        by_root.setdefault(uf.find(key[0]), []).append(key)
 
-    components = sorted(
-        by_root.values(), key=lambda es: min(min(e.non_pivot, e.pivot) for e in es)
-    )
+    components = sorted(by_root.values(), key=lambda ks: min(min(k[:2]) for k in ks))
     graphs = []
-    for cid, comp_edges in enumerate(components):
-        words = {e.non_pivot for e in comp_edges} | {e.pivot for e in comp_edges}
+    for cid, comp_keys in enumerate(components):
+        words = {w for key in comp_keys for w in key[:2]}
         graphs.append(
             Transgraph(
                 id=cid,
-                lang_a=lang_a,
-                lang_b=lang_b,
-                lang_c=lang_c,
                 a_words=frozenset(w for w in words if w.lang == lang_a),
                 b_words=frozenset(w for w in words if w.lang == lang_b),
                 c_words=frozenset(w for w in words if w.lang == lang_c),
-                edges=tuple(sorted(comp_edges, key=lambda e: edge_sort_key(e.key))),
+                edges=dict.fromkeys(sorted(comp_keys, key=edge_sort_key), 1.0),
             )
         )
     return TransgraphSet(lang_a, lang_b, lang_c, graphs)
@@ -192,41 +159,31 @@ def filter_big(tset: TransgraphSet, max_edges: int) -> TransgraphSet:
     return TransgraphSet(tset.lang_a, tset.lang_b, tset.lang_c, kept, sorted(skipped))
 
 
-def add_new_edges(tg: Transgraph, candidates: Iterable, cycle: int) -> Transgraph:
+def add_new_edges(tg: Transgraph, candidates: Iterable) -> Transgraph:
     """Materialize the missing edges demanded by the candidates' symmetry.
 
-    Each added edge carries the proposing candidate's coexistence value as
-    its confidence (the best one when several candidates want the same
-    edge); re-applying with the same candidates is a no-op.
+    Each added edge's probability is the proposing candidate's coexistence
+    (the best one when several candidates want the same edge), clamped
+    into [MIN_EDGE_PROB, 1]; re-applying with the same candidates is a
+    no-op.
     """
-    if cycle < 1:
-        raise ValueError("cycle must be >= 1")
     proposals: dict[EdgeKey, float] = {}
     for cand in candidates:
+        conf = cand.coexistence
         for key in cand.missing_edges:
-            if key in tg.edge_index:
-                continue
-            conf = cand.coexistence
-            if key not in proposals or conf > proposals[key]:
+            if key not in tg.edges and (key not in proposals or conf > proposals[key]):
                 proposals[key] = conf
     if not proposals:
         return tg
-    added = [
-        Edge(np_, pv, side, cycle=cycle, prob=min(max(conf, MIN_EDGE_PROB), 1.0))
-        for (np_, pv, side), conf in proposals.items()
-    ]
-    all_edges = tuple(
-        sorted(list(tg.edges) + added, key=lambda e: edge_sort_key(e.key))
-    )
+    edges = dict(tg.edges)
+    for key, conf in proposals.items():
+        edges[key] = min(max(conf, MIN_EDGE_PROB), 1.0)
     return Transgraph(
         id=tg.id,
-        lang_a=tg.lang_a,
-        lang_b=tg.lang_b,
-        lang_c=tg.lang_c,
         a_words=tg.a_words,
         b_words=tg.b_words,
         c_words=tg.c_words,
-        edges=all_edges,
+        edges={key: edges[key] for key in sorted(edges, key=edge_sort_key)},
     )
 
 

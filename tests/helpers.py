@@ -6,8 +6,8 @@ import random
 
 from pivotlex.encoding import CnfFormula, VarRegistry, hard_clause, soft_clause
 from pivotlex.heuristics import HeuristicSelection, generate_candidates
-from pivotlex.lexicon import BilingualDictionary, Word
-from pivotlex.pipeline import _synonym_candidates
+from pivotlex.lexicon import BilingualDictionary, PairSet, Word
+from pivotlex.pipeline import InductionResult, _synonym_candidates
 from pivotlex.transgraph import SIDE_AB, SIDE_BC, Transgraph, TransgraphSet, build_transgraphs
 
 LANG_A, LANG_B, LANG_C = "aaa", "ppp", "ccc"
@@ -102,26 +102,26 @@ def random_formula(rng: random.Random, max_vars: int = 18) -> CnfFormula:
 def marginal_probability(tg: Transgraph, word: Word, side: str | None = None) -> float:
     """Share of one dictionary side's edges that touch the given word."""
     if side is None:
-        if word.lang == tg.lang_a:
+        if word in tg.a_words:
             side = SIDE_AB
-        elif word.lang == tg.lang_c:
+        elif word in tg.c_words:
             side = SIDE_BC
         else:
             raise ValueError("side is required for pivot words")
-    side_edges = [e for e in tg.edges if e.side == side]
+    side_edges = [key for key in tg.edges if key[2] == side]
     if not side_edges:
         raise ValueError(f"no edges on side {side}")
-    touching = [e for e in side_edges if word in (e.non_pivot, e.pivot)]
+    touching = [key for key in side_edges if word in key[:2]]
     return len(touching) / len(side_edges)
 
 
 def joint_probability(tg: Transgraph, non_pivot: Word, pivot: Word) -> float:
     """Share of one dictionary side's edges that join exactly this pair."""
-    side = SIDE_AB if non_pivot.lang == tg.lang_a else SIDE_BC
-    side_edges = [e for e in tg.edges if e.side == side]
+    side = SIDE_AB if non_pivot in tg.a_words else SIDE_BC
+    side_edges = [key for key in tg.edges if key[2] == side]
     if not side_edges:
         raise ValueError(f"no edges on side {side}")
-    hit = 1 if (non_pivot, pivot, side) in tg.edge_index else 0
+    hit = 1 if (non_pivot, pivot, side) in tg.edges else 0
     return hit / len(side_edges)
 
 
@@ -136,3 +136,11 @@ def synonym_shares(tg: Transgraph, anchor: tuple[Word, Word]) -> dict[Word, floa
         s.word_c if s.word_a == anchor[0] else s.word_a: s.shared_prob
         for s in _synonym_candidates(tg, [cognate])
     }
+
+
+def result_pair_set(result: InductionResult) -> PairSet:
+    return PairSet(
+        result.lang_a,
+        result.lang_c,
+        frozenset((p.word_a, p.word_c) for p in result.pairs),
+    )

@@ -90,7 +90,7 @@ def encode_synonym_cnf(
         cnf.hard.append(hard_clause((-svar, reg.id_of(cognate_desc(cand.anchor)))))
         n_link += 1
         syn_word = cand.word_c if cand.word_a == cand.anchor[0] else cand.word_a
-        side = "BC" if syn_word.lang == tg.lang_c else "AB"
+        side = "BC" if syn_word in tg.c_words else "AB"
         for pivot in cand.anchor_pivots:
             evar = reg.id_of(edge_desc((syn_word, pivot, side)))
             cnf.hard.append(hard_clause((-svar, evar)))

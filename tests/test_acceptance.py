@@ -14,6 +14,7 @@ from helpers import (
     marginal_probability,
     random_dictionaries,
     random_formula,
+    result_pair_set,
     single_graph,
     synonym_shares,
     wa,
@@ -34,7 +35,6 @@ from pivotlex.lexicon import PairSet
 from pivotlex.pipeline import (
     COGNATE,
     parse_method,
-    result_pair_set,
     run_cycles,
     run_pipeline,
 )
@@ -76,7 +76,7 @@ def test_criterion_2_probability_fixtures():
     chain = single_graph([("a1", "b1")], [("c1", "b1")])
     (cand,) = generate_candidates(chain, HeuristicSelection.from_token("H1"))
     coexistence, missing_contribution, pivot_ambiguity = compute_cognate_probabilities(
-        cand.word_a, cand.word_c, cand.paths, cand.missing_edges, compute_tables(chain)
+        cand.word_a, cand.word_c, cand.pivots, cand.missing_edges, compute_tables(chain)
     )
     assert coexistence == 1.0
     assert missing_contribution == 0.0
@@ -157,7 +157,7 @@ def test_criterion_5_constraint_count_closed_forms():
             if not cands:
                 continue
             cnf = encode_cognate_cnf(g, cands)
-            assert cnf.counts["symmetry"] == 2 * sum(len(c.paths) for c in cands)
+            assert cnf.counts["symmetry"] == 2 * sum(len(c.pivots) for c in cands)
             by_end = {}
             for c in cands:
                 by_end.setdefault(("a", c.word_a), []).append(c)
@@ -274,7 +274,7 @@ def test_criterion_8_cycle_fixpoint():
             out = run_cycles(g, parse_method("9:C:H1"))
             assert out.fixpoint, "nine cycles must exhaust any test-size graph"
             # edge-set fixpoint: materializing again changes nothing
-            assert add_new_edges(out.graph, out.candidates, cycle=9) is out.graph
+            assert add_new_edges(out.graph, out.candidates) is out.graph
             expected = {(a, c) for a in g.a_words for c in g.c_words}
             assert {c.pair for c in out.candidates} == expected
             graphs_checked += 1

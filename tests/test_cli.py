@@ -407,6 +407,14 @@ def test_import_leaves_encoding_unloaded(module):
     assert out.stdout.strip() == "False"
 
 
+def test_public_api_resolves():
+    # a name removed from the package but left in __all__ breaks star imports
+    assert [name for name in pivotlex.__all__ if not hasattr(pivotlex, name)] == []
+    namespace = {}
+    exec("from pivotlex import *", namespace)
+    assert set(pivotlex.__all__) <= set(namespace)
+
+
 def test_no_command_needs_numpy_or_scipy(workdir):
     (workdir / "xs.txt").write_text("0.1\n0.2\n0.15\n", encoding="utf-8")
     (workdir / "ys.txt").write_text("0\n0\n0\n", encoding="utf-8")

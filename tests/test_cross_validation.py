@@ -17,7 +17,7 @@ import random
 import pytest
 
 from grid_reference import reference_grid_search
-from helpers import LANG_A, LANG_C, dict_ab, dict_cb, wa, wc
+from helpers import LANG_A, LANG_C, dict_ab, dict_cb, result_pair_set, wa, wc
 from pivotlex.evaluation import (
     CvReport,
     FoldResult,
@@ -27,7 +27,7 @@ from pivotlex.evaluation import (
     score,
 )
 from pivotlex.lexicon import PairSet
-from pivotlex.pipeline import HyperParams, induce_on_transgraphs, parse_method, result_pair_set
+from pivotlex.pipeline import HyperParams, induce_on_transgraphs, parse_method
 from pivotlex.transgraph import TransgraphSet, build_transgraphs
 
 DESCRIPTORS = {

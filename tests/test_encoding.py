@@ -67,7 +67,7 @@ class TestRegistryOrdering:
         n_decisions = len(cands)
         for cand in cands:
             assert cnf.registry.id_of(cognate_desc(cand.pair)) <= n_decisions
-        for key in {e.key for e in g.edges} | hypothesized(cands):
+        for key in set(g.edges) | hypothesized(cands):
             assert cnf.registry.id_of(edge_desc(key)) > n_decisions
 
 
@@ -160,7 +160,7 @@ class TestClauseCountClosedForms:
                 if not cands:
                     continue
                 cnf = encode_cognate_cnf(g, cands)
-                assert cnf.counts["symmetry"] == 2 * sum(len(c.paths) for c in cands)
+                assert cnf.counts["symmetry"] == 2 * sum(len(c.pivots) for c in cands)
                 by_a, by_c = {}, {}
                 for c in cands:
                     by_a.setdefault(c.word_a, []).append(c)

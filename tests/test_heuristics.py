@@ -17,7 +17,6 @@ from helpers import (
 from pivotlex.heuristics import (
     HeuristicSelection,
     PairCandidate,
-    Path,
     compute_cognate_probabilities,
     compute_edge_cost,
     compute_tables,
@@ -35,7 +34,7 @@ def scored(graph):
     """Each candidate's (coexistence, missing_contribution, pivot_ambiguity)."""
     tables = compute_tables(graph)
     return {
-        c.pair: compute_cognate_probabilities(c.word_a, c.word_c, c.paths, c.missing_edges, tables)
+        c.pair: compute_cognate_probabilities(c.word_a, c.word_c, c.pivots, c.missing_edges, tables)
         for c in generate_candidates(graph, H1)
     }
 
@@ -45,20 +44,17 @@ class TestGenerateCandidates:
         g = single_graph(ASYM_AB, ASYM_CB)
         cands = {c.pair: c for c in generate_candidates(g, H1)}
         full = cands[(wa("a1"), wc("c1"))]
-        assert [p.complete for p in full.paths] == [True, True]
+        assert full.pivots == (wb("b1"), wb("b2"))
         assert full.missing_edges == ()
         partial = cands[(wa("a1"), wc("c2"))]
-        assert sorted((p.pivot.surface, p.complete) for p in partial.paths) == [
-            ("b1", True),
-            ("b2", False),
-        ]
+        assert partial.pivots == (wb("b1"), wb("b2"))
         assert partial.missing_edges == ((wc("c2"), wb("b2"), SIDE_BC),)
 
     def test_single_chain(self):
         g = single_graph([("a1", "b1")], [("c1", "b1")])
         (cand,) = generate_candidates(g, H1)
         assert cand.pair == (wa("a1"), wc("c1"))
-        assert len(cand.paths) == 1 and cand.paths[0].complete
+        assert cand.pivots == (wb("b1"),) and cand.missing_edges == ()
 
     def test_no_a_words(self):
         from helpers import dict_ab, dict_cb
@@ -69,13 +65,13 @@ class TestGenerateCandidates:
 
     def test_candidates_are_immutable(self):
         (cand,) = generate_candidates(single_graph([("a1", "b1")], [("c1", "b1")]), H1)
-        for name in ("coexistence", "edge_cost", "paths", "missing_edges"):
+        for name in ("coexistence", "edge_cost", "pivots", "missing_edges"):
             with pytest.raises(AttributeError):
                 setattr(cand, name, getattr(cand, name))
 
     def test_candidate_needs_its_scores(self):
         with pytest.raises(TypeError):
-            PairCandidate(wa("a1"), wc("c1"), (Path(wb("b1"), True, True),), (), 1.0)
+            PairCandidate(wa("a1"), wc("c1"), (wb("b1"),), (), 1.0)
 
     def test_ordering_deterministic(self):
         g = single_graph(
@@ -83,12 +79,6 @@ class TestGenerateCandidates:
         )
         pairs = [c.pair for c in generate_candidates(g, H1)]
         assert pairs == sorted(pairs)
-
-
-class TestPath:
-    def test_needs_one_real_edge(self):
-        with pytest.raises(ValueError):
-            Path(wb("b1"), has_ab=False, has_bc=False)
 
 
 class TestCognateProbabilities:
@@ -155,16 +145,16 @@ class TestCognateProbabilities:
 def _coexistence_by_enumeration(g, a, c):
     def recip_degree(word, side=None):
         total = 0.0
-        for e in g.edges:
-            if side is not None and e.side != side:
+        for key, prob in g.edges.items():
+            if side is not None and key[2] != side:
                 continue
-            if word in (e.non_pivot, e.pivot):
-                total += 1.0 / e.prob
+            if word in key[:2]:
+                total += 1.0 / prob
         return total
 
     p_ac = p_ca = 0.0
     for b in g.b_words:
-        if (a, b, SIDE_AB) in g.edge_index and (c, b, SIDE_BC) in g.edge_index:
+        if (a, b, SIDE_AB) in g.edges and (c, b, SIDE_BC) in g.edges:
             p_ac += (1.0 / recip_degree(b, SIDE_AB)) * (1.0 / recip_degree(c))
             p_ca += (1.0 / recip_degree(b, SIDE_BC)) * (1.0 / recip_degree(a))
     return p_ac * p_ca

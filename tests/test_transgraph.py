@@ -2,32 +2,33 @@ import random
 
 import pytest
 
-from helpers import ASYM_AB, ASYM_CB, dict_ab, graphs_from, single_graph, wa, wb, wc
+from helpers import (
+    ASYM_AB,
+    ASYM_CB,
+    dict_ab,
+    graphs_from,
+    random_dictionaries,
+    single_graph,
+    wb,
+    wc,
+)
 from pivotlex.heuristics import HeuristicSelection, generate_candidates
 from pivotlex.lexicon import BilingualDictionary
+from pivotlex.pipeline import parse_method, run_cycles
 from pivotlex.transgraph import (
-    Edge,
+    MIN_EDGE_PROB,
     add_new_edges,
     build_transgraphs,
     component_stats,
+    edge_sort_key,
     filter_big,
 )
-
-
-class TestEdge:
-    def test_dictionary_edge_must_have_prob_one(self):
-        with pytest.raises(ValueError):
-            Edge(wa("a"), wb("b"), "AB", cycle=0, prob=0.5)
-
-    def test_prob_range(self):
-        with pytest.raises(ValueError):
-            Edge(wa("a"), wb("b"), "AB", cycle=1, prob=0.0)
-        with pytest.raises(ValueError):
-            Edge(wa("a"), wb("b"), "AB", cycle=1, prob=1.5)
-
-    def test_bad_side(self):
-        with pytest.raises(ValueError):
-            Edge(wa("a"), wb("b"), "XY")
+from test_selection import (
+    COGNATE_THRESHOLDS,
+    DESCRIPTORS,
+    RUNS_PER_METHOD,
+    SYNONYM_THRESHOLDS,
+)
 
 
 class TestBuildTransgraphs:
@@ -73,7 +74,7 @@ class TestBuildTransgraphs:
             assert total == len(set(ab)) + len(set(cb))
             seen = set()
             for g in tset.graphs:
-                keys = {e.key for e in g.edges}
+                keys = set(g.edges)
                 assert not keys & seen
                 seen |= keys
 
@@ -82,8 +83,8 @@ class TestBuildTransgraphs:
         cb = [("c2", "b2"), ("c1", "b1")]
         t1 = graphs_from(ab, cb)
         t2 = graphs_from(list(reversed(ab)), list(reversed(cb)))
-        assert [(g.id, g.a_words, g.edges) for g in t1.graphs] == [
-            (g.id, g.a_words, g.edges) for g in t2.graphs
+        assert [(g.id, g.a_words, list(g.edges.items())) for g in t1.graphs] == [
+            (g.id, g.a_words, list(g.edges.items())) for g in t2.graphs
         ]
 
 
@@ -122,26 +123,23 @@ class TestAddNewEdges:
     def test_symmetric_graph_unchanged(self):
         g = single_graph([("a1", "b1")], [("c1", "b1")])
         cands = _scored(g)
-        assert add_new_edges(g, cands, 1) is g
+        assert add_new_edges(g, cands) is g
 
     def test_asymmetric_shape_completed(self):
         g = single_graph(ASYM_AB, ASYM_CB)
         cands = _scored(g)
-        g2 = add_new_edges(g, cands, 1)
-        added = [e for e in g2.edges if e.cycle > 0]
-        assert [(e.non_pivot, e.pivot, e.side) for e in added] == [
-            (wc("c2"), wb("b2"), "BC")
-        ]
-        assert added[0].cycle == 1
+        g2 = add_new_edges(g, cands)
+        added = [key for key in g2.edges if key not in g.edges]
+        assert added == [(wc("c2"), wb("b2"), "BC")]
         # confidence mirrors the proposing candidate's coexistence
         (cand,) = [c for c in cands if c.word_c == wc("c2")]
-        assert added[0].prob == pytest.approx(cand.coexistence)
+        assert g2.edges[added[0]] == pytest.approx(cand.coexistence)
 
     def test_idempotent(self):
         g = single_graph(ASYM_AB, ASYM_CB)
         cands = _scored(g)
-        g2 = add_new_edges(g, cands, 1)
-        g3 = add_new_edges(g2, cands, 2)
+        g2 = add_new_edges(g, cands)
+        g3 = add_new_edges(g2, cands)
         assert g3 is g2
 
     def test_monotone_and_bounded(self):
@@ -152,9 +150,9 @@ class TestAddNewEdges:
             d_ab, d_cb = random_dictionaries(rng)
             for g in build_transgraphs(d_ab, d_cb).graphs:
                 cands = _scored(g)
-                g2 = add_new_edges(g, cands, 1)
-                keys = {e.key for e in g.edges}
-                keys2 = {e.key for e in g2.edges}
+                g2 = add_new_edges(g, cands)
+                keys = set(g.edges)
+                keys2 = set(g2.edges)
                 assert keys <= keys2
                 # bounded by the complete closure over the component's words
                 limit = len(g.a_words) * len(g.b_words) + len(g.c_words) * len(
@@ -162,10 +160,63 @@ class TestAddNewEdges:
                 )
                 assert len(keys2) <= limit
 
-    def test_bad_cycle_rejected(self):
-        g = single_graph([("a1", "b1")], [("c1", "b1")])
-        with pytest.raises(ValueError):
-            add_new_edges(g, [], 0)
+
+def selection_graphs():
+    """The random transgraphs of test_selection.py, drawn in the same order."""
+    for method in sorted(DESCRIPTORS):
+        rng = random.Random(f"selection-{method}")
+        for _ in range(RUNS_PER_METHOD):
+            n_a, n_b, n_c = (rng.randint(2, 5) for _ in range(3))
+            d_ab, d_cb = random_dictionaries(
+                rng, n_a, n_b, n_c, p_edge=rng.choice([0.3, 0.4, 0.55])
+            )
+            # the descriptor and thresholds drawn there, to stay in step
+            rng.choice(DESCRIPTORS[method])
+            rng.choice(COGNATE_THRESHOLDS), rng.choice(SYNONYM_THRESHOLDS)
+            yield from build_transgraphs(d_ab, d_cb).graphs
+
+
+def check_edge_map(g, input_keys):
+    keys = list(g.edges)
+    assert keys == sorted(keys, key=edge_sort_key)
+    assert all(g.edges[key] == 1.0 for key in input_keys)
+    assert all(MIN_EDGE_PROB <= prob <= 1.0 for prob in g.edges.values())
+
+
+def check_growth(before, candidates, after):
+    """`after` is `before` plus each wanted edge at its clamped best coexistence."""
+    best = {}
+    for cand in candidates:
+        for key in cand.missing_edges:
+            best[key] = max(best.get(key, cand.coexistence), cand.coexistence)
+    clamped = {key: min(max(conf, MIN_EDGE_PROB), 1.0) for key, conf in best.items()}
+    assert after.edges == {**before.edges, **clamped}
+
+
+class TestEdgeMap:
+    def test_invariants_over_three_cycles(self):
+        graphs = 0
+        for tg in selection_graphs():
+            check_edge_map(tg, tg.edges)
+            prev = run_cycles(tg, parse_method("1:C:H1"))
+            assert prev.graph is tg
+            for cycle in (2, 3):
+                out = run_cycles(tg, parse_method(f"{cycle}:C:H1"))
+                check_edge_map(out.graph, tg.edges)
+                check_growth(prev.graph, prev.candidates, out.graph)
+                # the coexistences here lie in (1e-6, 2/3]: push them out of
+                # range on both sides so that the clamp is exercised too
+                for scale in (1e-7, 3.0):
+                    pushed = [
+                        c._replace(coexistence=c.coexistence * scale)
+                        for c in prev.candidates
+                    ]
+                    grown = add_new_edges(prev.graph, pushed)
+                    check_edge_map(grown, tg.edges)
+                    check_growth(prev.graph, pushed, grown)
+                prev = out
+            graphs += 1
+        assert graphs >= 1200
 
 
 class TestComponentStats:
