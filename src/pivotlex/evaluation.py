@@ -81,7 +81,7 @@ def _sweep(
     synonym_grid = [i / 100 for i in range(101)] if with_synonyms else [None]
     grows = {0.0: set(range(len(runs)))}  # ct -> graphs whose cognate prefix grows there
     for g, (_, run) in enumerate(runs):
-        for row in _entries(run.cognates.accepted, cognate_grid):
+        for row in _entries(run.cognates, cognate_grid):
             grows.setdefault(cognate_grid[row], set()).add(g)
     shares = [Counter() for _ in runs]  # (column, fold, in gold) -> pairs entering there
     steps = Counter()  # the sum of the shares
@@ -89,8 +89,8 @@ def _sweep(
         for g in grows[ct]:
             f, run = runs[g]
             cognates, synonyms = run.stages(ct, synonym_grid[-1])  # what the largest st keeps
-            cols = [0] * len(cognates.accepted) + _entries(synonyms.accepted, synonym_grid)
-            pairs = cognates.accepted + synonyms.accepted
+            cols = [0] * len(cognates) + _entries(synonyms, synonym_grid)
+            pairs = cognates + synonyms
             share = Counter((col, f, p.pair in gold.pairs) for col, p in zip(cols, pairs))
             steps.subtract(shares[g])
             steps.update(share)
@@ -255,17 +255,13 @@ def t_cdf(t: float, df: int) -> float:
     return 0.5 + 0.5 * inside if t >= 0 else 0.5 - 0.5 * inside
 
 
-def paired_t_test(
-    xs: Sequence[float], ys: Sequence[float], tail: str = "greater"
-) -> TTestReport:
+def paired_t_test(xs: Sequence[float], ys: Sequence[float]) -> TTestReport:
     """One-tailed paired test of mean(xs - ys) > 0.
 
     All-zero differences give t=0, p=0.5. Zero variance with a non-zero
     mean makes t infinite and p collapses to 0 or 1. Differences whose mean
     or variance overflows the float range raise ValueError.
     """
-    if tail != "greater":
-        raise ValueError("only the 'greater' tail is supported")
     if len(xs) != len(ys):
         raise ValueError("paired samples must have equal length")
     n = len(xs)

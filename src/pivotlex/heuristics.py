@@ -121,21 +121,17 @@ class HeuristicSelection:
         return "H" + digits
 
 
-@dataclass(frozen=True)
-class ConditionalTables:
+# compute_tables' (from_a, from_c, from_pivot)
+_Tables = tuple[dict[Word, float], dict[Word, float], dict[Word, float]]
+
+
+def compute_tables(tg: Transgraph) -> _Tables:
     """Reciprocal-probability degree sums over the current edge set.
 
     from_a[b]  = sum of 1/prob over b's A-side edges
     from_c[b]  = sum of 1/prob over b's C-side edges
     from_pivot[w] = sum of 1/prob over the pivot edges of non-pivot w
     """
-
-    from_a: dict[Word, float]
-    from_c: dict[Word, float]
-    from_pivot: dict[Word, float]
-
-
-def compute_tables(tg: Transgraph) -> ConditionalTables:
     from_a: dict[Word, float] = {}
     from_c: dict[Word, float] = {}
     from_pivot: dict[Word, float] = {}
@@ -144,7 +140,7 @@ def compute_tables(tg: Transgraph) -> ConditionalTables:
         table = from_a if side == SIDE_AB else from_c
         table[pivot] = table.get(pivot, 0.0) + w
         from_pivot[non_pivot] = from_pivot.get(non_pivot, 0.0) + w
-    return ConditionalTables(from_a, from_c, from_pivot)
+    return from_a, from_c, from_pivot
 
 
 def generate_candidates(tg: Transgraph, sel: HeuristicSelection) -> list[PairCandidate]:
@@ -186,7 +182,7 @@ def compute_cognate_probabilities(
     c: Word,
     pivots: Sequence[Word],
     missing_edges: Sequence[EdgeKey],
-    tables: ConditionalTables,
+    tables: _Tables,
 ) -> tuple[float, float, float]:
     """Heuristics 1-3 of (a, c): (coexistence, missing_contribution, pivot_ambiguity).
 
@@ -199,24 +195,25 @@ def compute_cognate_probabilities(
     """
     if not pivots:
         raise ValueError(f"candidate {(a, c)} has no pivots")
+    from_a, from_c, from_pivot = tables
     hyp_ab = {pv for (_, pv, side) in missing_edges if side == SIDE_AB}
     hyp_bc = {pv for (_, pv, side) in missing_edges if side == SIDE_BC}
-    sup_from_pivot_a = tables.from_pivot.get(a, 0.0) + len(hyp_ab)
-    sup_from_pivot_c = tables.from_pivot.get(c, 0.0) + len(hyp_bc)
+    sup_from_pivot_a = from_pivot.get(a, 0.0) + len(hyp_ab)
+    sup_from_pivot_c = from_pivot.get(c, 0.0) + len(hyp_bc)
 
     p_ac = p_ca = miss_ac = miss_ca = 0.0
     shared = 1.0
     for b in pivots:
         if b not in hyp_ab and b not in hyp_bc:
-            p_ac += (1.0 / tables.from_a[b]) * (1.0 / tables.from_pivot[c])
-            p_ca += (1.0 / tables.from_c[b]) * (1.0 / tables.from_pivot[a])
+            p_ac += (1.0 / from_a[b]) * (1.0 / from_pivot[c])
+            p_ca += (1.0 / from_c[b]) * (1.0 / from_pivot[a])
             # senses modelled as a count: round the real-valued degree up
-            degree = max(tables.from_a[b], tables.from_c[b])
+            degree = max(from_a[b], from_c[b])
             n = min(math.ceil(degree - 1e-9), _MAX_SENSE_EXPONENT)
             shared *= 1.0 / ((1 << n) - 1)
         else:
-            sup_a_b = tables.from_a.get(b, 0.0) + (1.0 if b in hyp_ab else 0.0)
-            sup_c_b = tables.from_c.get(b, 0.0) + (1.0 if b in hyp_bc else 0.0)
+            sup_a_b = from_a.get(b, 0.0) + (1.0 if b in hyp_ab else 0.0)
+            sup_c_b = from_c.get(b, 0.0) + (1.0 if b in hyp_bc else 0.0)
             miss_ac += (1.0 / sup_a_b) * (1.0 / sup_from_pivot_c)
             miss_ca += (1.0 / sup_c_b) * (1.0 / sup_from_pivot_a)
 

@@ -24,10 +24,10 @@ compared with.
 
 Stages pass data, not shared state. Each scoring round is one pure pass,
 heuristics.generate_candidates, that returns immutable, fully priced
-candidates; a stage returns, as a frozen record, the candidates it
-accepted, in order. The synonym stage depends only on the graph and the
-accepted cognates: each of those leaves all of its missing edges existing,
-and its pivots anchor the synonym search. A stage run at threshold t
+candidates; a stage returns the pairs it accepted, in order. The synonym
+stage depends only on the graph and the candidates behind the accepted
+cognates: each of those leaves all of its missing edges existing, and its
+pivots anchor the synonym search. A stage run at threshold t
 would make the same picks as an unthresholded one and stop at the first
 pick costing >= t: it keeps a prefix of the unthresholded acceptances,
 along which costs need not rise. So each command builds one
@@ -41,14 +41,11 @@ the thresholds to the worker pool once, through its initializer, into the
 module-level _shared. Under the fork start method (the Linux default
 before Python 3.14) workers inherit them and nothing is pickled; under
 spawn or forkserver each worker unpickles a copy of every graph, which
-can cost more than the pool saves: on the bench many-small input
-(2:S:H14, seed 11, Python 3.11.7, 2 vCPUs, medians of 11 runs), jobs=2
-took 0.95 s under forkserver and 1.04 s under spawn, against 0.70 s for
-jobs=1 and 0.60 s for jobs=2 under fork. A task is a tuple of graph
-indices: the graphs are sorted by edge count and dealt round-robin,
-largest first, into about four chunks per worker. Workers return (id,
-pairs, report) triples, and the results are aggregated by id as in a
-serial run. The garbage collector is frozen while the pool runs
+can cost more than the pool saves (the README gives timings). A task is
+a tuple of graph indices: the graphs are sorted by edge count and dealt
+round-robin, largest first, into about four chunks per worker. Workers
+return (id, pairs, report) triples, and the results are aggregated by id
+as in a serial run. The garbage collector is frozen while the pool runs
 (gc.freeze), so neither this process nor a forked worker walks, and so
 copies, the objects they share; gc.unfreeze afterwards also thaws
 whatever a caller had frozen.
@@ -103,11 +100,6 @@ def _edge_weights(cands: Sequence) -> dict[EdgeKey, float]:
             if key not in weights or w < weights[key]:
                 weights[key] = w
     return weights
-
-
-def edge_micro_weights(cands: Sequence) -> dict[EdgeKey, int]:
-    """The soft weight, in micro-units, that the stage formula gives each edge."""
-    return {key: micro_units(w) for key, w in _edge_weights(cands).items()}
 
 
 @dataclass(frozen=True)
@@ -174,13 +166,6 @@ class CycleResult:
 
 
 @dataclass(frozen=True)
-class StageOutcome:
-    accepted: tuple[InducedPair, ...]
-    # the candidates behind `accepted`, in acceptance order
-    candidates: tuple[PairCandidate | SynonymCandidate, ...]
-
-
-@dataclass(frozen=True)
 class TransgraphReport:
     transgraph_id: int
     cycles_run: int
@@ -204,24 +189,19 @@ def run_cycles(tg: Transgraph, descriptor: MethodDescriptor) -> CycleResult:
     """Alternate candidate scoring and edge materialization.
 
     Runs descriptor.cycle scoring rounds, materializing the missing edges
-    between rounds, and stops early once a round would add nothing. The
-    returned candidates are scored once, against the final graph, under
-    the descriptor's heuristics.
+    between rounds, and stops early at a fixpoint, where no candidate has
+    a missing edge and so another round would add nothing. The returned
+    candidates are scored once, against the final graph, under the
+    descriptor's heuristics.
     """
-    graph = tg
-    candidates = generate_candidates(graph, descriptor.heuristics)
-    cycles = 1
-    fixpoint = not any(c.missing_edges for c in candidates)
-    for cyc in range(2, descriptor.cycle + 1):
-        grown = add_new_edges(graph, candidates)
-        if grown is graph:
-            fixpoint = True
-            break
-        graph = grown
+    graph, cycles = tg, 0
+    while True:
         candidates = generate_candidates(graph, descriptor.heuristics)
-        cycles = cyc
+        cycles += 1
         fixpoint = not any(c.missing_edges for c in candidates)
-    return CycleResult(graph, tuple(candidates), cycles, fixpoint)
+        if fixpoint or cycles == descriptor.cycle:
+            return CycleResult(graph, tuple(candidates), cycles, fixpoint)
+        graph = add_new_edges(graph, candidates)
 
 
 def _run_stage(
@@ -229,7 +209,7 @@ def _run_stage(
     stage: str,
     tg_id: int,
     exclusive: bool,
-) -> StageOutcome:
+) -> tuple[InducedPair, ...]:
     """Accept the cheapest fresh decision until the pool or feasibility runs out.
 
     A candidate costs the summed micro-weights of its hypothesized edges
@@ -240,7 +220,7 @@ def _run_stage(
     blocked.
     """
     ranked = sorted(candidates, key=lambda c: c.pair)
-    weight = edge_micro_weights(ranked)
+    weight = {key: micro_units(w) for key, w in _edge_weights(ranked).items()}
     wanting: dict[EdgeKey, list[int]] = {}
     cost: list[int] = []
     for i, cand in enumerate(ranked):
@@ -256,7 +236,6 @@ def _run_stage(
     used_a: set[Word] = set()
     used_c: set[Word] = set()
     accepted: list[InducedPair] = []
-    chosen: list[PairCandidate | SynonymCandidate] = []
     while heap:
         micro, neg_rank = heapq.heappop(heap)
         i = -neg_rank
@@ -279,13 +258,12 @@ def _run_stage(
             used_c.add(cand.word_c)
         anchor = cand.anchor if isinstance(cand, SynonymCandidate) else None
         accepted.append(InducedPair(cand.word_a, cand.word_c, stage, micro / MICRO, tg_id, anchor))
-        chosen.append(cand)
-    return StageOutcome(tuple(accepted), tuple(chosen))
+    return tuple(accepted)
 
 
 def run_cognate_stage(
     tg: Transgraph, candidates: Sequence[PairCandidate], *, one_to_one: bool = True
-) -> StageOutcome:
+) -> tuple[InducedPair, ...]:
     return _run_stage(candidates, COGNATE, tg.id, one_to_one)
 
 
@@ -295,30 +273,20 @@ def _synonym_candidates(
     """Propose partners sharing pivots with an accepted cognate's endpoints.
 
     The graph counts the missing edges that accepting the cognates hardened.
+    Several cognates may propose one pair: it keeps the likeliest anchor,
+    the smallest of equals.
     """
     present = set(tg.edges)
     for cog in cognates:
         present.update(cog.missing_edges)
     taken = {cog.pair for cog in cognates}
-    word_pivots: dict[Word, set[Word]] = {}
     pivot_a: dict[Word, set[Word]] = {}
     pivot_c: dict[Word, set[Word]] = {}
     for np_, pv, side in present:
-        word_pivots.setdefault(np_, set()).add(pv)
         (pivot_a if side == SIDE_AB else pivot_c).setdefault(pv, set()).add(np_)
 
     by_pair: dict[tuple[Word, Word], SynonymCandidate] = {}
-
-    def offer(cand: SynonymCandidate) -> None:
-        # several cognates may suggest the same pair: keep the likeliest anchor
-        prev = by_pair.get(cand.pair)
-        if prev is None:
-            by_pair[cand.pair] = cand
-        elif cand.shared_prob > prev.shared_prob or (
-            cand.shared_prob == prev.shared_prob and cand.anchor < prev.anchor
-        ):
-            by_pair[cand.pair] = cand
-
+    # an anchor proposes each pair once, and later anchors are larger
     for anchor in sorted(cognates, key=lambda c: c.pair):
         wa, wc = anchor.pair
         pivots = anchor.pivots  # in pivot order
@@ -330,44 +298,47 @@ def _synonym_candidates(
             for b in pivots:
                 partners |= neighbours.get(b, set())
             partners.discard(seed_word)
-            for w in sorted(partners):
+            for w in partners:
                 pair = (wa, w) if side == SIDE_BC else (w, wc)
                 if pair in taken:
                     continue
-                linked = sum(1 for b in pivots if b in word_pivots.get(w, ()))
                 # word and side are fixed, so pivot order is edge_sort_key order
                 missing = tuple((w, b, side) for b in pivots if (w, b, side) not in present)
-                offer(
-                    SynonymCandidate(
+                share = (len(pivots) - len(missing)) / len(pivots)
+                prev = by_pair.get(pair)
+                if prev is None or share > prev.shared_prob:
+                    by_pair[pair] = SynonymCandidate(
                         word_a=pair[0],
                         word_c=pair[1],
                         anchor=(wa, wc),
                         anchor_pivots=pivots,
-                        shared_prob=linked / len(pivots),
+                        shared_prob=share,
                         missing_edges=missing,
                     )
-                )
     return sorted(by_pair.values(), key=lambda c: c.pair)
 
 
-def run_synonym_stage(tg: Transgraph, cognates: Sequence[PairCandidate]) -> StageOutcome:
+def run_synonym_stage(
+    tg: Transgraph, cognates: Sequence[PairCandidate]
+) -> tuple[InducedPair, ...]:
     """Extract synonym partners of the accepted cognates; empty stage is fine."""
     syn_cands = _synonym_candidates(tg, cognates)
     return _run_stage(syn_cands, SYNONYM, tg.id, False)
 
 
-def _cut(outcome: StageOutcome, threshold: float | None) -> StageOutcome:
+def _cut(pairs: tuple[InducedPair, ...], threshold: float | None) -> tuple[InducedPair, ...]:
     """The prefix of an unthresholded stage run that a run at `threshold` accepts."""
-    k = len(outcome.accepted)
-    if threshold is not None:
-        k = next((i for i, p in enumerate(outcome.accepted) if not p.cost < threshold), k)
-    return StageOutcome(outcome.accepted[:k], outcome.candidates[:k])
+    if threshold is None:
+        return pairs
+    k = next((i for i, p in enumerate(pairs) if not p.cost < threshold), len(pairs))
+    return pairs[:k]
 
 
 class StageRuns:
     """One transgraph's unthresholded stage runs; a run at any thresholds follows.
 
-    The synonym stage (method S only) runs once per cognate prefix in use.
+    The synonym stage (method S only) runs once per cognate prefix in use,
+    anchored on the cycle candidates whose pairs that prefix accepted.
     """
 
     def __init__(self, tg: Transgraph, descriptor: MethodDescriptor):
@@ -376,22 +347,26 @@ class StageRuns:
             self.cycles.graph, self.cycles.candidates, one_to_one=descriptor.method != "M"
         )
         self.with_synonyms = descriptor.method == "S"
-        self._synonyms: dict[int, StageOutcome] = {}  # by cognate prefix length
+        self._synonyms: dict[int, tuple[InducedPair, ...]] = {}  # by cognate prefix length
 
-    def stages(self, ct: float | None, st: float | None) -> tuple[StageOutcome, StageOutcome]:
-        """The cognate and synonym stages of a run at thresholds (ct, st)."""
+    def stages(
+        self, ct: float | None, st: float | None
+    ) -> tuple[tuple[InducedPair, ...], tuple[InducedPair, ...]]:
+        """The cognate and synonym pairs of a run at thresholds (ct, st)."""
         cognates = _cut(self.cognates, ct)
         if not self.with_synonyms:
-            return cognates, StageOutcome((), ())
-        k = len(cognates.accepted)
+            return cognates, ()
+        k = len(cognates)
         if k not in self._synonyms:
-            self._synonyms[k] = run_synonym_stage(self.cycles.graph, cognates.candidates)
+            kept = {p.pair for p in cognates}
+            anchors = [c for c in self.cycles.candidates if c.pair in kept]
+            self._synonyms[k] = run_synonym_stage(self.cycles.graph, anchors)
         return cognates, _cut(self._synonyms[k], st)
 
     def pairs(self, ct: float | None, st: float | None) -> tuple[InducedPair, ...]:
         """The pairs a run at thresholds (ct, st) accepts, in order."""
         cognates, synonyms = self.stages(ct, st)
-        return cognates.accepted + synonyms.accepted
+        return cognates + synonyms
 
 
 def _induce_one(
@@ -400,17 +375,17 @@ def _induce_one(
     runs = StageRuns(tg, descriptor)
     cognates, synonyms = runs.stages(hp.cognate_threshold, hp.synonym_threshold)
     # a stage not cut short that left candidates had them blocked by uniqueness
-    uncut = len(cognates.accepted) == len(runs.cognates.accepted)
+    uncut = len(cognates) == len(runs.cognates)
     report = TransgraphReport(
         transgraph_id=tg.id,
         cycles_run=runs.cycles.cycles_run,
         fixpoint=runs.cycles.fixpoint,
         candidates=len(runs.cycles.candidates),
-        cognate_pairs=len(cognates.accepted),
-        synonym_pairs=len(synonyms.accepted),
-        cognate_unsat=uncut and len(cognates.accepted) < len(runs.cycles.candidates),
+        cognate_pairs=len(cognates),
+        synonym_pairs=len(synonyms),
+        cognate_unsat=uncut and len(cognates) < len(runs.cycles.candidates),
     )
-    return tg.id, list(cognates.accepted + synonyms.accepted), report
+    return tg.id, list(cognates + synonyms), report
 
 
 # a worker's (graphs, descriptor, hp), set once by the pool's initializer

@@ -36,7 +36,7 @@ def full_sweep(
     totals = [[[0, 0] for _ in synonym_grid] for _ in folds]
     for ct in cognate_grid:
         for g, (f, run) in enumerate(runs):
-            prefix = len(_cut(run.cognates, ct).accepted)
+            prefix = len(_cut(run.cognates, ct))
             if prefix == prefixes[g]:
                 continue
             prefixes[g] = prefix

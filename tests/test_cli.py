@@ -1,5 +1,7 @@
 import json
+import multiprocessing
 import os
+import random
 import subprocess
 import sys
 
@@ -90,6 +92,47 @@ class TestInduce:
             assert code == 0
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("start_method", multiprocessing.get_all_start_methods())
+    def test_jobs_bit_identical_under_every_start_method(self, tmp_path, start_method):
+        # workers inherit the graphs under fork and unpickle them otherwise;
+        # a fresh interpreter sets the start method before the pool exists
+        rng = random.Random(5)
+        ab, cb = [], []
+        for g in range(12):
+            ab += [f"a{g}_0\tb{g}_0\n", f"a{g}_1\tb{g}_{rng.randrange(3)}\n"]
+            cb += [f"c{g}_0\tb{g}_0\n", f"c{g}_1\tb{g}_{rng.randrange(3)}\n"]
+            ab += [f"a{g}_{i}\tb{g}_{j}\n" for i in range(3) for j in range(3) if rng.random() < 0.4]
+            cb += [f"c{g}_{i}\tb{g}_{j}\n" for i in range(3) for j in range(3) if rng.random() < 0.4]
+        (tmp_path / "ab.tsv").write_text("".join(sorted(set(ab))), encoding="utf-8")
+        (tmp_path / "cb.tsv").write_text("".join(sorted(set(cb))), encoding="utf-8")
+
+        def induce(jobs):
+            return [
+                "induce", *dict_flags(tmp_path),
+                "--method", "2:S:H14",
+                "--jobs", jobs,
+                "-o", str(tmp_path / f"out{jobs}.tsv"),
+                "--report", str(tmp_path / f"report{jobs}.txt"),
+            ]
+
+        code = (
+            "import multiprocessing, sys\n"
+            "multiprocessing.set_start_method(sys.argv[1])\n"
+            "from pivotlex.cli import main\n"
+            "sys.exit(main(sys.argv[2:]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(pivotlex.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        pooled = subprocess.run(
+            [sys.executable, "-c", code, start_method, *induce("2")],
+            env=env, capture_output=True, text=True,
+        )
+        assert (pooled.returncode, pooled.stderr) == (main(induce("1")), "")
+        for name in ("out{}.tsv", "report{}.txt"):
+            assert (tmp_path / name.format(2)).read_bytes() == (tmp_path / name.format(1)).read_bytes()
+        # the pool runs only with more than one graph
+        assert (tmp_path / "report1.txt").read_text(encoding="utf-8").count("transgraph ") > 2
 
     @pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "cpu_count"])
     def test_default_jobs_is_usable_cpus(self, workdir, monkeypatch, affinity):

@@ -248,7 +248,8 @@ class TestSynonymEncoding:
         g = single_graph(ab, cb)
         out = run_cycles(g, parse_method("1:S:H14"))
         st = _cut(run_cognate_stage(out.graph, out.candidates), threshold)
-        return out.graph, out.candidates, st.candidates
+        by_pair = {c.pair: c for c in out.candidates}
+        return out.graph, out.candidates, [by_pair[p.pair] for p in st]
 
     def test_two_thirds_share_prices_the_single_missing_link(self):
         from pivotlex.pipeline import _synonym_candidates

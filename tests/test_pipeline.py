@@ -26,7 +26,6 @@ from pivotlex.pipeline import (
     COGNATE,
     SYNONYM,
     HyperParams,
-    StageOutcome,
     _cut,
     _induce_one,
     _synonym_candidates,
@@ -38,7 +37,7 @@ from pivotlex.pipeline import (
     run_pipeline,
     run_synonym_stage,
 )
-from pivotlex.transgraph import build_transgraphs
+from pivotlex.transgraph import SIDE_AB, SIDE_BC, build_transgraphs
 from test_cross_validation import random_components, random_gold
 from test_evaluation import _synonym_tset, pair_set
 
@@ -173,9 +172,9 @@ class TestCognateStage:
         g = single_graph([("a1", "b1")], [("c1", "b1")])
         out = run_cycles(g, parse_method("1:C:H1"))
         st = run_cognate_stage(g, out.candidates)
-        assert surfaces(st.accepted) == [("a1", "c1")]
-        assert st.accepted[0].cost == 0.0
-        assert len(st.accepted) == len(out.candidates)  # none blocked
+        assert surfaces(st) == [("a1", "c1")]
+        assert st[0].cost == 0.0
+        assert len(st) == len(out.candidates)  # none blocked
         assert not _induce_one(g, parse_method("1:C:H1"), HyperParams())[2].cognate_unsat
 
     def test_uniqueness_blocks_second_pair(self):
@@ -183,20 +182,20 @@ class TestCognateStage:
         g = single_graph(ASYM_AB, ASYM_CB)
         out = run_cycles(g, parse_method("1:C:H1"))
         st = run_cognate_stage(g, out.candidates)
-        assert surfaces(st.accepted) == [("a1", "c1")]
-        assert len(st.accepted) < len(out.candidates)  # the pick-one clause became unsatisfiable
+        assert surfaces(st) == [("a1", "c1")]
+        assert len(st) < len(out.candidates)  # the pick-one clause became unsatisfiable
         assert _induce_one(g, parse_method("1:C:H1"), HyperParams())[2].cognate_unsat
 
     def test_zero_threshold_rejects_positive_costs(self):
         g = single_graph(ASYM_AB, ASYM_CB)
         out = run_cycles(g, parse_method("1:C:H1"))
         st = _cut(run_cognate_stage(g, out.candidates), 0.0)
-        assert st.accepted == ()
+        assert st == ()
 
     def test_empty_candidates(self):
         g = single_graph([("a1", "b1")], [("c1", "b1")])
         st = run_cognate_stage(g, [])
-        assert st == StageOutcome((), ())
+        assert st == ()
 
     def test_positional_hyperparams_rejected(self):
         # thresholds are cut after the stage; a stale positional HyperParams
@@ -213,7 +212,7 @@ class TestCognateStage:
         g = single_graph(ab + [("a1", "b4")], cb + [("c1", "b3")])
         out = run_cycles(g, parse_method("1:M:H1"))
         st = run_cognate_stage(g, out.candidates, one_to_one=False)
-        costs = [p.cost for p in st.accepted]
+        costs = [p.cost for p in st]
         assert costs == sorted(costs)
 
 
@@ -251,7 +250,9 @@ class TestSynonymStage:
         out = run_cycles(g, desc)
         hp = hp or HyperParams()
         st1 = _cut(run_cognate_stage(g, out.candidates), hp.cognate_threshold)
-        st2 = _cut(run_synonym_stage(out.graph, st1.candidates), hp.synonym_threshold)
+        by_pair = {c.pair: c for c in out.candidates}
+        anchors = [by_pair[p.pair] for p in st1]
+        st2 = _cut(run_synonym_stage(out.graph, anchors), hp.synonym_threshold)
         return st1, st2
 
     def test_synonyms_of_both_sides(self):
@@ -264,13 +265,13 @@ class TestSynonymStage:
             ("c2", "b1"), ("c2", "b2"), ("c2", "b3"),
         ]
         st1, st2 = self._run(ab, cb, hp=HyperParams(cognate_threshold=0.01))
-        assert surfaces(st1.accepted) == [("a1", "c1")]
-        got = {(p.word_a.surface, p.word_c.surface): p for p in st2.accepted}
+        assert surfaces(st1) == [("a1", "c1")]
+        got = {(p.word_a.surface, p.word_c.surface): p for p in st2}
         assert set(got) == {("a1", "c2"), ("a2", "c1")}
         assert got[("a1", "c2")].cost == 0.0
         assert got[("a2", "c1")].cost == pytest.approx(0.5)
-        assert all(p.stage == SYNONYM for p in st2.accepted)
-        assert all(p.anchor == (wa("a1"), wc("c1")) for p in st2.accepted)
+        assert all(p.stage == SYNONYM for p in st2)
+        assert all(p.anchor == (wa("a1"), wc("c1")) for p in st2)
 
     def test_fully_linked_synonym_is_free(self):
         # both pairs are perfect; the canonical tie-break makes (a1,c2) the
@@ -278,20 +279,20 @@ class TestSynonymStage:
         ab = [("a1", "b1"), ("a1", "b2")]
         cb = [("c1", "b1"), ("c1", "b2"), ("c2", "b1"), ("c2", "b2")]
         st1, st2 = self._run(ab, cb)
-        assert surfaces(st1.accepted) == [("a1", "c2")]
-        assert surfaces(st2.accepted) == [("a1", "c1")]
-        assert st2.accepted[0].cost == 0.0
+        assert surfaces(st1) == [("a1", "c2")]
+        assert surfaces(st2) == [("a1", "c1")]
+        assert st2[0].cost == 0.0
 
     def test_zero_threshold_rejects_half_linked(self):
         _, st2 = self._run(
             ASYM_AB, ASYM_CB, hp=HyperParams(synonym_threshold=0.0)
         )
-        assert st2.accepted == ()
+        assert st2 == ()
 
     def test_stage_empty_without_cognates(self):
         g = single_graph([("a1", "b1")], [("c1", "b1")])
         st = run_synonym_stage(g, [])
-        assert st == StageOutcome((), ()) and not _synonym_candidates(g, [])  # none blocked
+        assert st == () and not _synonym_candidates(g, [])  # none blocked
 
     def test_synonym_shares_anchor_pivot(self):
         rng = random.Random(77)
@@ -305,6 +306,59 @@ class TestSynonymStage:
                 if p.stage != SYNONYM:
                     continue
                 assert p.anchor in anchors
+
+
+def offered_synonyms(graph, cognates):
+    """Every (share, anchor, missing edges) offer of each synonym pair, from scratch.
+
+    Each accepted cognate offers every word sharing one of its pivots, on
+    either side, as its other word's partner; the cognates' missing edges
+    count as existing.
+    """
+    present = set(graph.edges).union(*(cog.missing_edges for cog in cognates))
+    taken = {cog.pair for cog in cognates}
+    words = [(w, SIDE_AB) for w in graph.a_words] + [(w, SIDE_BC) for w in graph.c_words]
+    offers = {}
+    for cog in cognates:
+        for w, side in words:
+            pair = (w, cog.word_c) if side == SIDE_AB else (cog.word_a, w)
+            linked = [b for b in cog.pivots if (w, b, side) in present]
+            if w in cog.pair or pair in taken or not linked:
+                continue
+            missing = tuple((w, b, side) for b in cog.pivots if b not in linked)
+            offers.setdefault(pair, []).append(
+                (len(linked) / len(cog.pivots), cog.pair, missing)
+            )
+    return offers
+
+
+def test_synonym_keeps_the_smallest_of_the_likeliest_anchors():
+    rng = random.Random("synonym-anchor")
+    ties = 0
+    for _ in range(120):
+        n_a, n_b, n_c = (rng.randint(2, 5) for _ in range(3))
+        d_ab, d_cb = random_dictionaries(rng, n_a, n_b, n_c, p_edge=rng.choice([0.3, 0.45]))
+        for tg in build_transgraphs(d_ab, d_cb).graphs:
+            for cycle in (1, 2, 3):
+                cyc = run_cycles(tg, parse_method(f"{cycle}:S:H1"))
+                by_pair = {c.pair: c for c in cyc.candidates}
+                for one_to_one in (True, False):
+                    stage = run_cognate_stage(cyc.graph, cyc.candidates, one_to_one=one_to_one)
+                    cognates = [by_pair[p.pair] for p in stage]
+                    got = {s.pair: s for s in _synonym_candidates(cyc.graph, cognates)}
+                    offers = offered_synonyms(cyc.graph, cognates)
+                    assert set(got) == set(offers)
+                    for pair, offered in offers.items():
+                        top = max(share for share, _, _ in offered)
+                        likeliest = [o for o in offered if o[0] == top]
+                        ties += len(likeliest) > 1
+                        share, anchor, missing = min(likeliest, key=lambda o: o[1])
+                        kept = got[pair]
+                        assert (kept.anchor, kept.shared_prob, kept.missing_edges) == (
+                            anchor, share, missing
+                        ), pair
+                        assert kept.anchor_pivots == by_pair[anchor].pivots
+    assert ties >= 50  # equal shares from several anchors are common
 
 
 class TestStageCalls:

@@ -120,11 +120,13 @@ def direct_candidates(tg, descriptor, hp):
         run_cognate_stage(cyc.graph, cyc.candidates, one_to_one=descriptor.method != "M"),
         hp.cognate_threshold,
     )
+    by_pair = {c.pair: c for c in cyc.candidates}
+    cognates = [by_pair[p.pair] for p in st1]
     synonyms = []
     if descriptor.method == "S":
-        st2 = run_synonym_stage(cyc.graph, st1.candidates)
-        synonyms = _cut(st2, hp.synonym_threshold).candidates
-    return [c.pair for c in st1.candidates], [c.pair for c in synonyms]
+        st2 = run_synonym_stage(cyc.graph, cognates)
+        synonyms = _cut(st2, hp.synonym_threshold)
+    return [c.pair for c in cognates], [p.pair for p in synonyms]
 
 
 def fields(pairs):

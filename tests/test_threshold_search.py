@@ -31,7 +31,6 @@ from pivotlex.pipeline import (
     SYNONYM,
     HyperParams,
     InducedPair,
-    StageOutcome,
     StageRuns,
     _cut,
     induce_on_transgraphs,
@@ -174,19 +173,18 @@ class FixedRuns:
     @staticmethod
     def outcome(graph_id, stage, costs):
         names = [f"{graph_id}{stage}{i}" for i in range(len(costs))]
-        pairs = tuple(
+        return tuple(
             InducedPair(wa(name), wc(name), stage, cost, graph_id)
             for name, cost in zip(names, costs)
         )
-        return StageOutcome(pairs, (None,) * len(pairs))
 
     def stages(self, ct, st):
         cognates = _cut(self.cognates, ct)
-        return cognates, _cut(self.synonyms[len(cognates.accepted)], st)
+        return cognates, _cut(self.synonyms[len(cognates)], st)
 
     def pairs(self, ct, st):
         cognates, synonyms = self.stages(ct, st)
-        return cognates.accepted + synonyms.accepted
+        return cognates + synonyms
 
 
 def check_breakpoints(folds, gold, with_synonyms):
@@ -268,7 +266,7 @@ def test_sweep_skips_only_repeated_points():
             for fold in folds
             for r in fold
             for outcome in [r.cognates, *r.synonyms]
-            for p in outcome.accepted
+            for p in outcome
         ]
         kept = [p for p in pairs if rng.random() < 0.5] + [(wa("zz"), wc("zz"))]
         gold = PairSet(LANG_A, LANG_C, frozenset(kept))
