@@ -11,17 +11,15 @@ import math
 import warnings
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .lexicon import PairSet
 from .pipeline import InducedPair, MethodDescriptor, StageRuns
 from .transgraph import Transgraph, TransgraphSet
 
 
-@dataclass(frozen=True)
-class Metrics:
+class Metrics(NamedTuple):
     precision: float
     recall: float
     f_score: float
@@ -50,8 +48,7 @@ def _metrics(hits: int, size: int, gold_size: int, beta: float) -> Metrics:
     return Metrics(precision, recall, f, beta)
 
 
-@dataclass(frozen=True)
-class GridPoint:
+class GridPoint(NamedTuple):
     cognate_threshold: float
     synonym_threshold: float | None
     metrics: Metrics
@@ -126,8 +123,7 @@ def grid_search(
     return max(points, key=lambda p: p.metrics.f_score)  # the first of equal maxima
 
 
-@dataclass(frozen=True)
-class FoldPlan:
+class FoldPlan(NamedTuple):
     k: int
     folds: tuple[tuple[int, ...], ...]
 
@@ -157,16 +153,14 @@ def restrict_gold(gold: PairSet, graphs: Sequence[Transgraph]) -> PairSet:
     return PairSet(gold.lang_a, gold.lang_c, kept)
 
 
-@dataclass(frozen=True)
-class FoldResult:
+class FoldResult(NamedTuple):
     fold_index: int
     test_ids: tuple[int, ...]
     grid: GridPoint
     test_metrics: Metrics
 
 
-@dataclass(frozen=True)
-class CvReport:
+class CvReport(NamedTuple):
     plan: FoldPlan
     folds: tuple[FoldResult, ...]
     mean_f: float
@@ -218,8 +212,7 @@ def cross_validate(
     return CvReport(plan, tuple(results), mean_f)
 
 
-@dataclass(frozen=True)
-class TTestReport:
+class TTestReport(NamedTuple):
     t_stat: float
     df: int
     p_value: float

@@ -24,7 +24,6 @@ similarity is computed only when it is selected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .lexicon import Word
@@ -51,8 +50,7 @@ class PairCandidate(NamedTuple):
         return (self.word_a, self.word_c)
 
 
-@dataclass(frozen=True)
-class SynonymCandidate:
+class SynonymCandidate(NamedTuple):
     """A pair proposed because one side looks synonymous with a found cognate."""
 
     word_a: Word
@@ -82,23 +80,31 @@ _HEURISTIC_FIELDS = {
 }
 
 
-@dataclass(frozen=True)
-class HeuristicSelection:
-    coexistence: bool = False
-    missing_contribution: bool = False
-    pivot_ambiguity: bool = False
-    form_similarity: bool = False
+class _SelectionFields(NamedTuple):
+    coexistence: bool
+    missing_contribution: bool
+    pivot_ambiguity: bool
+    form_similarity: bool
 
-    def __post_init__(self):
-        if not any(
-            (
-                self.coexistence,
-                self.missing_contribution,
-                self.pivot_ambiguity,
-                self.form_similarity,
-            )
-        ):
+
+class HeuristicSelection(_SelectionFields):
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        coexistence: bool = False,
+        missing_contribution: bool = False,
+        pivot_ambiguity: bool = False,
+        form_similarity: bool = False,
+    ):
+        flags = (coexistence, missing_contribution, pivot_ambiguity, form_similarity)
+        if not any(flags):
             raise ValueError("at least one heuristic must be selected")
+        return tuple.__new__(cls, flags)
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace checks too
+        return cls(*fields)
 
     @classmethod
     def from_token(cls, token: str) -> "HeuristicSelection":

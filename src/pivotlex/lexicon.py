@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import io
 import unicodedata
-from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, NamedTuple
 
 
@@ -57,38 +56,58 @@ class Word(_WordFields):
             raise ValueError("empty word surface")
         return tuple.__new__(cls, (lang, surface))
 
+    @classmethod
+    def _make(cls, fields):  # so that _replace checks too
+        return cls(*fields)
 
-@dataclass(frozen=True)
-class BilingualDictionary:
-    """A set of translation entries oriented source -> target."""
 
+class _DictionaryFields(NamedTuple):
     source: str
     target: str
     entries: frozenset[tuple[Word, Word]]
 
-    def __post_init__(self):
-        if self.source == self.target:
+
+class BilingualDictionary(_DictionaryFields):
+    """A set of translation entries oriented source -> target."""
+
+    __slots__ = ()
+
+    def __new__(cls, source: str, target: str, entries: frozenset[tuple[Word, Word]]):
+        if source == target:
             raise ValueError("source and target language must differ")
-        for s, t in self.entries:
-            if s.lang != self.source or t.lang != self.target:
+        for s, t in entries:
+            if s.lang != source or t.lang != target:
                 raise ValueError(f"entry ({s}, {t}) does not match declared languages")
+        return tuple.__new__(cls, (source, target, entries))
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace checks too
+        return cls(*fields)
 
     def __len__(self) -> int:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class PairSet:
-    """A deduplicated set of (A-word, C-word) pairs, oriented A -> C."""
-
+class _PairSetFields(NamedTuple):
     lang_a: str
     lang_c: str
     pairs: frozenset[tuple[Word, Word]]
 
-    def __post_init__(self):
-        for a, c in self.pairs:
-            if a.lang != self.lang_a or c.lang != self.lang_c:
+
+class PairSet(_PairSetFields):
+    """A deduplicated set of (A-word, C-word) pairs, oriented A -> C."""
+
+    __slots__ = ()
+
+    def __new__(cls, lang_a: str, lang_c: str, pairs: frozenset[tuple[Word, Word]]):
+        for a, c in pairs:
+            if a.lang != lang_a or c.lang != lang_c:
                 raise ValueError(f"pair ({a}, {c}) does not match declared languages")
+        return tuple.__new__(cls, (lang_a, lang_c, pairs))
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace checks too
+        return cls(*fields)
 
     def __len__(self) -> int:
         return len(self.pairs)

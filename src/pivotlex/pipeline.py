@@ -55,8 +55,7 @@ from __future__ import annotations
 
 import gc
 import heapq
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .heuristics import (
     HeuristicSelection,
@@ -102,8 +101,7 @@ def _edge_weights(cands: Sequence) -> dict[EdgeKey, float]:
     return weights
 
 
-@dataclass(frozen=True)
-class MethodDescriptor:
+class MethodDescriptor(NamedTuple):
     cycle: int
     method: str
     heuristics: HeuristicSelection
@@ -128,23 +126,32 @@ def parse_method(text: str) -> MethodDescriptor:
     return MethodDescriptor(int(cycle_s), method, sel)
 
 
-@dataclass(frozen=True)
-class HyperParams:
+class _ThresholdFields(NamedTuple):
+    cognate_threshold: float | None
+    synonym_threshold: float | None
+
+
+class HyperParams(_ThresholdFields):
     """Stage thresholds; None disables the filter entirely."""
 
-    cognate_threshold: float | None = None
-    synonym_threshold: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(
+        cls, cognate_threshold: float | None = None, synonym_threshold: float | None = None
+    ):
         # `not >=` also rejects NaN, which fails every comparison
-        if self.cognate_threshold is not None and not self.cognate_threshold >= 0:
+        if cognate_threshold is not None and not cognate_threshold >= 0:
             raise ValueError("cognate threshold must be >= 0")
-        if self.synonym_threshold is not None and not 0 <= self.synonym_threshold <= 1:
+        if synonym_threshold is not None and not 0 <= synonym_threshold <= 1:
             raise ValueError("synonym threshold must lie in [0, 1]")
+        return tuple.__new__(cls, (cognate_threshold, synonym_threshold))
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace checks too
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
-class InducedPair:
+class InducedPair(NamedTuple):
     word_a: Word
     word_c: Word
     stage: str
@@ -157,16 +164,14 @@ class InducedPair:
         return (self.word_a, self.word_c)
 
 
-@dataclass(frozen=True)
-class CycleResult:
+class CycleResult(NamedTuple):
     graph: Transgraph
     candidates: tuple[PairCandidate, ...]
     cycles_run: int
     fixpoint: bool
 
 
-@dataclass(frozen=True)
-class TransgraphReport:
+class TransgraphReport(NamedTuple):
     transgraph_id: int
     cycles_run: int
     fixpoint: bool
@@ -176,13 +181,20 @@ class TransgraphReport:
     cognate_unsat: bool
 
 
-@dataclass
 class InductionResult:
-    lang_a: str
-    lang_c: str
-    pairs: list[InducedPair]
-    reports: dict[int, TransgraphReport] = field(default_factory=dict)
-    skipped: list[tuple[int, int]] = field(default_factory=list)
+    def __init__(
+        self,
+        lang_a: str,
+        lang_c: str,
+        pairs: list[InducedPair],
+        reports: dict[int, TransgraphReport] | None = None,
+        skipped: list[tuple[int, int]] | None = None,
+    ):
+        self.lang_a = lang_a
+        self.lang_c = lang_c
+        self.pairs = pairs
+        self.reports = {} if reports is None else reports
+        self.skipped = [] if skipped is None else skipped
 
 
 def run_cycles(tg: Transgraph, descriptor: MethodDescriptor) -> CycleResult:

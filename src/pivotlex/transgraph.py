@@ -11,9 +11,8 @@ proposing pair's coexistence, clamped into [MIN_EDGE_PROB, 1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .lexicon import BilingualDictionary, Word
 
@@ -31,16 +30,23 @@ def edge_sort_key(key: EdgeKey):
     return (side, non_pivot, pivot)
 
 
-@dataclass
 class Transgraph:
     """One connected component of the joined dictionaries."""
 
-    id: int
-    a_words: frozenset[Word]
-    b_words: frozenset[Word]
-    c_words: frozenset[Word]
-    # edge key -> probability, in edge_sort_key order
-    edges: dict[EdgeKey, float]
+    def __init__(
+        self,
+        id: int,
+        a_words: frozenset[Word],
+        b_words: frozenset[Word],
+        c_words: frozenset[Word],
+        edges: dict[EdgeKey, float],
+    ):
+        self.id = id
+        self.a_words = a_words
+        self.b_words = b_words
+        self.c_words = c_words
+        # edge key -> probability, in edge_sort_key order
+        self.edges = edges
 
     @cached_property
     def word_pivots(self) -> dict[Word, tuple[Word, ...]]:
@@ -60,19 +66,25 @@ class Transgraph:
         return {b: tuple(sorted(ws)) for b, ws in adj.items()}
 
 
-@dataclass
 class TransgraphSet:
     """All components of one dictionary pair, plus the ones set aside."""
 
-    lang_a: str
-    lang_b: str
-    lang_c: str
-    graphs: list[Transgraph]
-    skipped: list[tuple[int, int]] = field(default_factory=list)  # (id, edge count)
+    def __init__(
+        self,
+        lang_a: str,
+        lang_b: str,
+        lang_c: str,
+        graphs: list[Transgraph],
+        skipped: list[tuple[int, int]] | None = None,
+    ):
+        self.lang_a = lang_a
+        self.lang_b = lang_b
+        self.lang_c = lang_c
+        self.graphs = graphs
+        self.skipped = [] if skipped is None else skipped  # (id, edge count)
 
 
-@dataclass(frozen=True)
-class ComponentStats:
+class ComponentStats(NamedTuple):
     a_count: int
     b_count: int
     c_count: int

@@ -450,6 +450,23 @@ def test_import_leaves_encoding_unloaded(module):
     assert out.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("module", ["pivotlex", "pivotlex.cli"])
+def test_import_leaves_dataclasses_and_inspect_unloaded(module):
+    # the records are NamedTuples, so start-up pays for neither module; one
+    # that site already loaded is not the package's cost
+    code = (
+        "import sys; before = set(sys.modules)\n"
+        f"import {module}\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    src = os.path.dirname(os.path.dirname(pivotlex.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
 def test_public_api_resolves():
     # a name removed from the package but left in __all__ breaks star imports
     assert [name for name in pivotlex.__all__ if not hasattr(pivotlex, name)] == []
