@@ -16,15 +16,20 @@ transgraph around it:
                              character of one word instead of a table
 
 The combined edge cost turns the selected signals into the price of
-assuming one of the pair's missing edges. generate_candidates scores each
-pair once, as it enumerates it, into an immutable PairCandidate; the form
-similarity is computed only when it is selected.
+assuming one of the pair's missing edges. A scoring round,
+generate_candidates, is one pass over the graph's edges that builds the
+degree sums and the adjacency together, then prices each pair inline as
+it is enumerated into an immutable PairCandidate: signals 1-3 fall out of
+the walk over the pair's pivots, and its missing edges are the differences
+of the two words' pivot sets. The form similarity is computed only when it
+is selected, and then only in a round whose prices are kept: a growth
+round, one that still has missing edges and is not the last, leaves it out.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .lexicon import Word
 from .transgraph import SIDE_AB, SIDE_BC, EdgeKey, Transgraph
@@ -127,105 +132,108 @@ class HeuristicSelection(_SelectionFields):
         return "H" + digits
 
 
-# compute_tables' (from_a, from_c, from_pivot)
-_Tables = tuple[dict[Word, float], dict[Word, float], dict[Word, float]]
+# exponents beyond this leave the shared-sense factor indistinguishable from 0
+_MAX_SENSE_EXPONENT = 62
 
 
-def compute_tables(tg: Transgraph) -> _Tables:
-    """Reciprocal-probability degree sums over the current edge set.
-
-    from_a[b]  = sum of 1/prob over b's A-side edges
-    from_c[b]  = sum of 1/prob over b's C-side edges
-    from_pivot[w] = sum of 1/prob over the pivot edges of non-pivot w
-    """
-    from_a: dict[Word, float] = {}
-    from_c: dict[Word, float] = {}
-    from_pivot: dict[Word, float] = {}
-    for (non_pivot, pivot, side), prob in tg.edges.items():
-        w = 1.0 / prob
-        table = from_a if side == SIDE_AB else from_c
-        table[pivot] = table.get(pivot, 0.0) + w
-        from_pivot[non_pivot] = from_pivot.get(non_pivot, 0.0) + w
-    return from_a, from_c, from_pivot
-
-
-def generate_candidates(tg: Transgraph, sel: HeuristicSelection) -> list[PairCandidate]:
-    """Enumerate and score pairs joined through at least one shared pivot.
+def generate_candidates(
+    tg: Transgraph, sel: HeuristicSelection, last_round: bool = True
+) -> list[PairCandidate]:
+    """Enumerate and price the pairs joined through at least one shared pivot.
 
     A candidate's pivots are every pivot adjacent to either of its words;
     a pivot adjacent to only one of them is incomplete, and its absent
     edge is recorded in missing_edges. Each pair is priced under ``sel``
     against the graph as given. Output is ordered by pair.
+
+    With ``last_round`` false the caller discards the prices of a round
+    that still has missing edges (a growth round), so such a round leaves
+    out the form-similarity term; a round without missing edges is priced
+    in full either way.
     """
-    tables = compute_tables(tg)
-    out: list[PairCandidate] = []
-    for a in sorted(tg.a_words):
-        pivots_a = set(tg.word_pivots.get(a, ()))
-        reachable: set[Word] = set()
-        for b in pivots_a:
-            reachable.update(tg.pivot_c_neighbors.get(b, ()))
-        for c in sorted(reachable):
-            pivots = tuple(sorted(pivots_a | set(tg.word_pivots.get(c, ()))))
-            missing = []
-            for b in pivots:
-                if (a, b, SIDE_AB) not in tg.edges:
-                    missing.append((a, b, SIDE_AB))
-                if (c, b, SIDE_BC) not in tg.edges:
-                    missing.append((c, b, SIDE_BC))
-            missing.sort()
-            coex, miss, amb = compute_cognate_probabilities(a, c, pivots, missing, tables)
-            cost = compute_edge_cost(sel, coex, miss, amb, a.surface, c.surface)
-            out.append(PairCandidate(a, c, pivots, tuple(missing), coex, cost))
-    return out
-
-
-# exponents beyond this leave the shared-sense factor indistinguishable from 0
-_MAX_SENSE_EXPONENT = 62
-
-
-def compute_cognate_probabilities(
-    a: Word,
-    c: Word,
-    pivots: Sequence[Word],
-    missing_edges: Sequence[EdgeKey],
-    tables: _Tables,
-) -> tuple[float, float, float]:
-    """Heuristics 1-3 of (a, c): (coexistence, missing_contribution, pivot_ambiguity).
-
-    A pivot is complete when neither of its edges to a and c is missing.
-    Complete pivots feed the coexistence product; incomplete pivots feed
-    the missing-contribution difference, with the pair's own hypothesized
-    edges counted as existing (at probability 1) in those denominators only.
-    The pivot ambiguity is 1 minus the probability that the pair shares
-    exact senses.
-    """
-    if not pivots:
-        raise ValueError(f"candidate {(a, c)} has no pivots")
-    from_a, from_c, from_pivot = tables
-    hyp_ab = {pv for (_, pv, side) in missing_edges if side == SIDE_AB}
-    hyp_bc = {pv for (_, pv, side) in missing_edges if side == SIDE_BC}
-    sup_from_pivot_a = from_pivot.get(a, 0.0) + len(hyp_ab)
-    sup_from_pivot_c = from_pivot.get(c, 0.0) + len(hyp_bc)
-
-    p_ac = p_ca = miss_ac = miss_ca = 0.0
-    shared = 1.0
-    for b in pivots:
-        if b not in hyp_ab and b not in hyp_bc:
-            p_ac += (1.0 / from_a[b]) * (1.0 / from_pivot[c])
-            p_ca += (1.0 / from_c[b]) * (1.0 / from_pivot[a])
-            # senses modelled as a count: round the real-valued degree up
-            degree = max(from_a[b], from_c[b])
-            n = min(math.ceil(degree - 1e-9), _MAX_SENSE_EXPONENT)
-            shared *= 1.0 / ((1 << n) - 1)
+    # from_a[b], from_c[b]: sum of 1/prob over pivot b's A-side, C-side edges;
+    # from_pivot[w]: sum of 1/prob over the pivot edges of non-pivot w
+    from_a: dict[Word, float] = {}
+    from_c: dict[Word, float] = {}
+    from_pivot: dict[Word, float] = {}
+    pivots_of: dict[Word, set[Word]] = {}
+    c_words_of: dict[Word, list[Word]] = {}
+    for (non_pivot, pivot, side), prob in tg.edges.items():
+        w = 1.0 / prob
+        if side == SIDE_AB:
+            from_a[pivot] = from_a.get(pivot, 0.0) + w
         else:
-            sup_a_b = from_a.get(b, 0.0) + (1.0 if b in hyp_ab else 0.0)
-            sup_c_b = from_c.get(b, 0.0) + (1.0 if b in hyp_bc else 0.0)
-            miss_ac += (1.0 / sup_a_b) * (1.0 / sup_from_pivot_c)
-            miss_ca += (1.0 / sup_c_b) * (1.0 / sup_from_pivot_a)
+            from_c[pivot] = from_c.get(pivot, 0.0) + w
+            c_words_of.setdefault(pivot, []).append(non_pivot)
+        from_pivot[non_pivot] = from_pivot.get(non_pivot, 0.0) + w
+        pivots_of.setdefault(non_pivot, set()).add(pivot)
 
-    coexistence = p_ac * p_ca
-    missing_contribution = (p_ac + miss_ac) * (p_ca + miss_ca) - coexistence
-    return coexistence, missing_contribution, 1.0 - shared
+    h1, h2, h3 = sel.coexistence, sel.missing_contribution, sel.pivot_ambiguity
+    rows = []
+    growth = False  # some candidate has a missing edge
+    for a in sorted(tg.a_words):
+        pa = pivots_of.get(a)
+        if not pa:
+            continue
+        reachable: set[Word] = set()
+        for b in pa:
+            reachable.update(c_words_of.get(b, ()))
+        from_pivot_a = from_pivot[a]
+        for c in sorted(reachable):
+            pc = pivots_of[c]
+            union = pa | pc
+            pivots = tuple(sorted(union))
+            if len(union) == len(pa) == len(pc):  # every pivot complete
+                miss_ab = miss_bc = ()
+                inv_sup_a = inv_sup_c = 0.0
+            else:
+                growth = True
+                # a pivot of only one word hypothesizes the other word's edge,
+                # counted as existing (at probability 1) in its denominators
+                miss_ab = [(a, b, SIDE_AB) for b in pivots if b not in pa]
+                miss_bc = [(c, b, SIDE_BC) for b in pivots if b not in pc]
+                inv_sup_a = 1.0 / (from_pivot_a + len(miss_ab))
+                inv_sup_c = 1.0 / (from_pivot[c] + len(miss_bc))
+            inv_from_pivot_a = 1.0 / from_pivot_a
+            inv_from_pivot_c = 1.0 / from_pivot[c]
+            p_ac = p_ca = miss_ac = miss_ca = 0.0
+            shared = 1.0
+            for b in pivots:
+                if b not in pa:
+                    miss_ac += (1.0 / (from_a.get(b, 0.0) + 1.0)) * inv_sup_c
+                    miss_ca += (1.0 / from_c[b]) * inv_sup_a
+                elif b not in pc:
+                    miss_ac += (1.0 / from_a[b]) * inv_sup_c
+                    miss_ca += (1.0 / (from_c.get(b, 0.0) + 1.0)) * inv_sup_a
+                else:
+                    fa, fc = from_a[b], from_c[b]
+                    p_ac += (1.0 / fa) * inv_from_pivot_c
+                    p_ca += (1.0 / fc) * inv_from_pivot_a
+                    # senses modelled as a count: round the real-valued degree up
+                    n = min(math.ceil(max(fa, fc) - 1e-9), _MAX_SENSE_EXPONENT)
+                    shared *= 1.0 / ((1 << n) - 1)
+            coexistence = p_ac * p_ca
+            cost = 0.0
+            if h1:
+                cost += 1.0 - coexistence
+            if h2:
+                cost += (p_ac + miss_ac) * (p_ca + miss_ca) - coexistence
+            if h3:
+                cost += 1.0 - shared
+            # the words differ in language, so a's keys sort before c's or after
+            missing = tuple(miss_ab + miss_bc if a < c else miss_bc + miss_ab)
+            rows.append((a, c, pivots, missing, coexistence, cost))
+
+    if sel.form_similarity and (last_round or not growth):
+        # form dissimilarity, capped at 1/100 of a full heuristic unit so it
+        # only breaks ties between otherwise equal candidates
+        return [
+            PairCandidate(
+                a, c, pivots, missing, coex, cost + (1.0 - lcsr(a.surface, c.surface)) / 100.0
+            )
+            for a, c, pivots, missing, coex, cost in rows
+        ]
+    return [PairCandidate._make(row) for row in rows]
 
 
 def lcsr(a: str, b: str) -> float:
@@ -248,30 +256,3 @@ def _lcs_len(a: str, b: str) -> int:
         u = v & masks.get(ch, 0)
         v = ((v + u) | (v - u)) & full
     return len(b) - v.bit_count()
-
-
-def compute_edge_cost(
-    sel: HeuristicSelection,
-    coexistence: float,
-    missing_contribution: float,
-    pivot_ambiguity: float,
-    surface_a: str,
-    surface_c: str,
-) -> float:
-    """Price of assuming one of a pair's missing edges under ``sel``.
-
-    Form dissimilarity, the spellings' LCS ratio computed only under H4,
-    is capped at 1/100 of a full heuristic unit so it only breaks ties
-    between otherwise equal candidates.
-    """
-    cost = 0.0
-    if sel.coexistence:
-        cost += 1.0 - coexistence
-    if sel.missing_contribution:
-        cost += missing_contribution
-    if sel.pivot_ambiguity:
-        cost += pivot_ambiguity
-    if sel.form_similarity:
-        cost += (1.0 - lcsr(surface_a, surface_c)) / 100.0
-    return cost
-

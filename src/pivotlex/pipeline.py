@@ -22,9 +22,13 @@ synonym formula and an exact solver live with the tests
 (tests/maxsat_reference.py), as the reference this selection is
 compared with.
 
-Stages pass data, not shared state. Each scoring round is one pure pass,
-heuristics.generate_candidates, that returns immutable, fully priced
-candidates; a stage returns the pairs it accepted, in order. The synonym
+Stages pass data, not shared state. Each scoring round is one pure pass
+over the graph's edges, heuristics.generate_candidates, that enumerates
+the candidates and prices each as it goes; a growth round, one that is
+not the last and still has missing edges, needs only their coexistence
+and missing edges, so it leaves out the form-similarity (H4) term. The
+last round, or a fixpoint reached early, returns immutable, fully priced
+candidates. A stage returns the pairs it accepted, in order. The synonym
 stage depends only on the graph and the candidates behind the accepted
 cognates: each of those leaves all of its missing edges existing, and its
 pivots anchor the synonym search. A stage run at threshold t
@@ -203,15 +207,18 @@ def run_cycles(tg: Transgraph, descriptor: MethodDescriptor) -> CycleResult:
     Runs descriptor.cycle scoring rounds, materializing the missing edges
     between rounds, and stops early at a fixpoint, where no candidate has
     a missing edge and so another round would add nothing. The returned
-    candidates are scored once, against the final graph, under the
-    descriptor's heuristics.
+    candidates are priced in full against the final graph under the
+    descriptor's heuristics; a growth round's prices are discarded, so it
+    skips form similarity. Each round is one generate_candidates call,
+    looked up in this module, so that it can be traced.
     """
     graph, cycles = tg, 0
     while True:
-        candidates = generate_candidates(graph, descriptor.heuristics)
         cycles += 1
+        last = cycles == descriptor.cycle
+        candidates = generate_candidates(graph, descriptor.heuristics, last_round=last)
         fixpoint = not any(c.missing_edges for c in candidates)
-        if fixpoint or cycles == descriptor.cycle:
+        if fixpoint or last:
             return CycleResult(graph, tuple(candidates), cycles, fixpoint)
         graph = add_new_edges(graph, candidates)
 

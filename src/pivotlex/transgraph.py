@@ -11,7 +11,6 @@ proposing pair's coexistence, clamped into [MIN_EDGE_PROB, 1].
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .lexicon import BilingualDictionary, Word
@@ -47,23 +46,6 @@ class Transgraph:
         self.c_words = c_words
         # edge key -> probability, in edge_sort_key order
         self.edges = edges
-
-    @cached_property
-    def word_pivots(self) -> dict[Word, tuple[Word, ...]]:
-        """Non-pivot word -> its pivot neighbours, sorted."""
-        adj: dict[Word, set[Word]] = {}
-        for non_pivot, pivot, _ in self.edges:
-            adj.setdefault(non_pivot, set()).add(pivot)
-        return {w: tuple(sorted(ps)) for w, ps in adj.items()}
-
-    @cached_property
-    def pivot_c_neighbors(self) -> dict[Word, tuple[Word, ...]]:
-        """Pivot word -> its C-side neighbours, sorted."""
-        adj: dict[Word, set[Word]] = {}
-        for non_pivot, pivot, side in self.edges:
-            if side == SIDE_BC:
-                adj.setdefault(pivot, set()).add(non_pivot)
-        return {b: tuple(sorted(ws)) for b, ws in adj.items()}
 
 
 class TransgraphSet:

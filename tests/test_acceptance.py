@@ -23,14 +23,10 @@ from helpers import (
 )
 from maxsat_reference import parse_wcnf, solve
 from oracle import brute_force_solve
+from scoring_reference import compute_cognate_probabilities, compute_tables
 from pivotlex.encoding import encode_cognate_cnf, export_wcnf
 from pivotlex.evaluation import paired_t_test, score, t_cdf
-from pivotlex.heuristics import (
-    HeuristicSelection,
-    compute_cognate_probabilities,
-    compute_tables,
-    generate_candidates,
-)
+from pivotlex.heuristics import HeuristicSelection, generate_candidates
 from pivotlex.lexicon import PairSet
 from pivotlex.pipeline import (
     COGNATE,

@@ -4,7 +4,7 @@ import pytest
 
 from helpers import dict_ab, dict_cb, graphs_from, random_dictionaries, wa, wc
 from pivotlex.baselines import ACROSS, WITHIN, cartesian_product, inverse_consultation
-from pivotlex.transgraph import build_transgraphs
+from pivotlex.transgraph import SIDE_AB, SIDE_BC, build_transgraphs
 
 
 class TestCartesianProduct:
@@ -72,10 +72,9 @@ class TestInverseConsultation:
             tset = build_transgraphs(d_ab, d_cb)
             connected = set()
             for g in tset.graphs:
-                for a in g.a_words:
-                    for b in g.word_pivots.get(a, ()):
-                        for c in g.pivot_c_neighbors.get(b, ()):
-                            connected.add((a, c))
+                ab = [(a, b) for a, b, side in g.edges if side == SIDE_AB]
+                cb = [(c, b) for c, b, side in g.edges if side == SIDE_BC]
+                connected |= {(a, c) for a, b in ab for c, b_c in cb if b == b_c}
             assert ic1.pairs == frozenset(connected)
 
     def test_nesting_in_delta_and_cp(self):

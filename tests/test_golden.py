@@ -86,7 +86,8 @@ GOLD = ["--gold", "../gold.tsv"]
 COMMANDS = {
     **{
         f"induce-{m}": (
-            ["induce", *DICTS, "--method", m, "--jobs", "1", "-o", "out.tsv", "--report", "report.txt"],
+            ["induce", *DICTS, "--method", m, "--jobs", "1"]
+            + ["-o", "out.tsv", "--report", "report.txt"],
             ["out.tsv", "report.txt"],
         )
         for m in ("2:S:H14", "1:C:H1", "3:M:H1")
@@ -110,7 +111,8 @@ def _file_digest(path: str) -> str:
     """A file's digest; a directory's is that of its sorted (name, digest) lines."""
     if os.path.isdir(path):
         lines = "".join(
-            f"{name}\t{_file_digest(os.path.join(path, name))}\n" for name in sorted(os.listdir(path))
+            f"{name}\t{_file_digest(os.path.join(path, name))}\n"
+            for name in sorted(os.listdir(path))
         )
         return _sha(lines.encode())
     with open(path, "rb") as f:

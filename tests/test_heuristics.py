@@ -17,13 +17,11 @@ from helpers import (
 from pivotlex.heuristics import (
     HeuristicSelection,
     PairCandidate,
-    compute_cognate_probabilities,
-    compute_edge_cost,
-    compute_tables,
     generate_candidates,
     _lcs_len,
     lcsr,
 )
+from scoring_reference import compute_cognate_probabilities, compute_edge_cost, compute_tables
 from pivotlex.transgraph import SIDE_AB, SIDE_BC, build_transgraphs
 
 

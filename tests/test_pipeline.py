@@ -598,22 +598,31 @@ class TestRunPipeline:
 
     @pytest.mark.parametrize(
         "method, reads_spelling",
-        [("1:C:H1", False), ("2:S:H123", False), ("2:S:H14", True)],
+        [("1:C:H1", False), ("2:S:H123", False), ("2:S:H14", True), ("3:S:H14", True)],
     )
     def test_spelling_similarity_only_under_h4(self, monkeypatch, method, reads_spelling):
-        class SpellingRead(Exception):
-            pass
+        # spelling is read once per candidate that run_cycles returns, never
+        # in a growth round whose prices are discarded
+        reads = []
 
-        def refuse(a, b):
-            raise SpellingRead
+        def counting(a, b):
+            reads.append((a, b))
+            return lcsr(a, b)
 
-        monkeypatch.setattr(heuristics, "lcsr", refuse)
-        tset = build_transgraphs(dict_ab(*ASYM_AB), dict_cb(*ASYM_CB))
-        if reads_spelling:
-            with pytest.raises(SpellingRead):
-                induce_on_transgraphs(tset, parse_method(method))
-        else:
-            assert induce_on_transgraphs(tset, parse_method(method)).pairs
+        lcsr = heuristics.lcsr
+        monkeypatch.setattr(heuristics, "lcsr", counting)
+        # the asymmetric shape grows in cycle 1 and is a fixpoint in cycle 2;
+        # the chain a9-b9-c9 is a fixpoint in cycle 1, before its last cycle
+        tset = build_transgraphs(
+            dict_ab(*ASYM_AB, ("a9", "b9")), dict_cb(*ASYM_CB, ("c9", "b9"))
+        )
+        res = induce_on_transgraphs(tset, parse_method(method))
+        assert res.pairs
+        ran = sorted((r.cycles_run, r.fixpoint) for r in res.reports.values())
+        assert ran == ([(1, False), (1, True)] if method[0] == "1" else [(1, True), (2, True)])
+        returned = sum(r.candidates for r in res.reports.values())
+        assert len(reads) == (returned if reads_spelling else 0)
+        assert len(set(reads)) == len(reads)
 
     def test_no_duplicate_pairs(self):
         rng = random.Random(14)
