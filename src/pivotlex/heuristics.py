@@ -199,19 +199,22 @@ def generate_candidates(
             p_ac = p_ca = miss_ac = miss_ca = 0.0
             shared = 1.0
             for b in pivots:
-                if b not in pa:
-                    miss_ac += (1.0 / (from_a.get(b, 0.0) + 1.0)) * inv_sup_c
-                    miss_ca += (1.0 / from_c[b]) * inv_sup_a
-                elif b not in pc:
-                    miss_ac += (1.0 / from_a[b]) * inv_sup_c
-                    miss_ca += (1.0 / (from_c.get(b, 0.0) + 1.0)) * inv_sup_a
-                else:
+                if b in pa and b in pc:
                     fa, fc = from_a[b], from_c[b]
                     p_ac += (1.0 / fa) * inv_from_pivot_c
                     p_ca += (1.0 / fc) * inv_from_pivot_a
-                    # senses modelled as a count: round the real-valued degree up
-                    n = min(math.ceil(max(fa, fc) - 1e-9), _MAX_SENSE_EXPONENT)
-                    shared *= 1.0 / ((1 << n) - 1)
+                    if h3:
+                        # senses modelled as a count: round the real-valued degree up
+                        n = min(math.ceil(max(fa, fc) - 1e-9), _MAX_SENSE_EXPONENT)
+                        shared *= 1.0 / ((1 << n) - 1)
+                elif not h2:
+                    continue
+                elif b in pa:  # c lacks its edge to b
+                    miss_ac += (1.0 / from_a[b]) * inv_sup_c
+                    miss_ca += (1.0 / (from_c.get(b, 0.0) + 1.0)) * inv_sup_a
+                else:  # a lacks its edge to b
+                    miss_ac += (1.0 / (from_a.get(b, 0.0) + 1.0)) * inv_sup_c
+                    miss_ca += (1.0 / from_c[b]) * inv_sup_a
             coexistence = p_ac * p_ca
             cost = 0.0
             if h1:
