@@ -20,10 +20,11 @@ assuming one of the pair's missing edges. A scoring round,
 generate_candidates, is one pass over the graph's edges that builds the
 degree sums and the adjacency together, then prices each pair inline as
 it is enumerated into an immutable PairCandidate: signals 1-3 fall out of
-the walk over the pair's pivots, and its missing edges are the differences
-of the two words' pivot sets. The form similarity is computed only when it
-is selected, and then only in a round whose prices are kept: a growth
-round, one that still has missing edges and is not the last, leaves it out.
+the walk over the pair's pivots (2 and 3 only when selected), and its
+missing edges are the differences of the two words' pivot sets. The form
+similarity is computed only when it is selected, and then only in a round
+whose prices are kept: a growth round, one that still has missing edges
+and is not the last, leaves it out.
 """
 
 from __future__ import annotations
@@ -185,7 +186,6 @@ def generate_candidates(
             pivots = tuple(sorted(union))
             if len(union) == len(pa) == len(pc):  # every pivot complete
                 miss_ab = miss_bc = ()
-                inv_sup_a = inv_sup_c = 0.0
             else:
                 growth = True
                 # a pivot of only one word hypothesizes the other word's edge,

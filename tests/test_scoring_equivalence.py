@@ -56,11 +56,8 @@ def without_form(sel: HeuristicSelection) -> SimpleNamespace:
     return SimpleNamespace(**{**sel._asdict(), "form_similarity": False})
 
 
-def test_every_heuristic_subset_is_covered():
-    assert len(set(SELECTIONS)) == 15
-
-
 def test_last_round_matches_reference_exactly():
+    assert len(set(SELECTIONS)) == 15
     rounds = fractional = 0
     for g in random_graphs(1606, 60):
         for graph in grown(g):
