@@ -182,9 +182,8 @@ def generate_candidates(
         from_pivot_a = from_pivot[a]
         for c in sorted(reachable):
             pc = pivots_of[c]
-            union = pa | pc
-            pivots = tuple(sorted(union))
-            if len(union) == len(pa) == len(pc):  # every pivot complete
+            pivots = tuple(sorted(pa | pc))
+            if pa == pc:  # every pivot complete
                 miss_ab = miss_bc = ()
             else:
                 growth = True

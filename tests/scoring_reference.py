@@ -45,7 +45,11 @@ def compute_tables(tg: Transgraph) -> Tables:
 def generate_candidates(
     tg: Transgraph, sel: HeuristicSelection, last_round: bool = True
 ) -> list[PairCandidate]:
-    """Every pair joined through a shared pivot, priced in full in any round."""
+    """Every pair joined through a shared pivot, priced in full.
+
+    ``last_round`` is accepted, as run_cycles passes it, and ignored: every
+    round is priced in full, form similarity included.
+    """
     word_pivots: dict[Word, set[Word]] = {}
     pivot_c_neighbors: dict[Word, set[Word]] = {}
     for non_pivot, pivot, side in tg.edges:
