@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 from .lexicon import BilingualDictionary, PairSet
 from .transgraph import TransgraphSet
 
@@ -14,9 +16,8 @@ DEFAULT_IC_DELTA = 2
 def cartesian_product(tset: TransgraphSet, scope: str = WITHIN) -> PairSet:
     """All A x C combinations, per transgraph or across the kept set."""
     if scope == WITHIN:
-        pairs = {
-            (a, c) for g in tset.graphs for a in g.a_words for c in g.c_words
-        }
+        # product reads each graph's word sets once
+        pairs = {pair for g in tset.graphs for pair in product(g.a_words, g.c_words)}
     elif scope == ACROSS:
         all_a = {a for g in tset.graphs for a in g.a_words}
         all_c = {c for g in tset.graphs for c in g.c_words}

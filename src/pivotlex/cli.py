@@ -184,11 +184,10 @@ def _cmd_cv(args) -> int:
     rows = [["fold", "test_ids", "cognate_t", "synonym_t", "precision", "recall", "f_score"]]
     for fold in report.folds:
         st = "-" if fold.grid.synonym_threshold is None else f"{fold.grid.synonym_threshold:.2f}"
-        ids = f"{fold.test_ids[0]}-{fold.test_ids[-1]}" if fold.test_ids else "-"
         rows.append(
             [
                 str(fold.fold_index),
-                ids,
+                f"{fold.test_ids[0]}-{fold.test_ids[-1]}",
                 f"{fold.grid.cognate_threshold:.2f}",
                 st,
                 f"{fold.test_metrics.precision:.3f}",

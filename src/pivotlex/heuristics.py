@@ -62,7 +62,6 @@ class SynonymCandidate(NamedTuple):
     word_a: Word
     word_c: Word
     anchor: tuple[Word, Word]
-    anchor_pivots: tuple[Word, ...]
     shared_prob: float
     missing_edges: tuple[EdgeKey, ...]
 
@@ -157,31 +156,32 @@ def generate_candidates(
     from_a: dict[Word, float] = {}
     from_c: dict[Word, float] = {}
     from_pivot: dict[Word, float] = {}
-    pivots_of: dict[Word, set[Word]] = {}
+    # the keys of pivots_of_a are the graph's A-words
+    pivots_of_a: dict[Word, set[Word]] = {}
+    pivots_of_c: dict[Word, set[Word]] = {}
     c_words_of: dict[Word, list[Word]] = {}
     for (non_pivot, pivot, side), prob in tg.edges.items():
         w = 1.0 / prob
         if side == SIDE_AB:
             from_a[pivot] = from_a.get(pivot, 0.0) + w
+            pivots_of_a.setdefault(non_pivot, set()).add(pivot)
         else:
             from_c[pivot] = from_c.get(pivot, 0.0) + w
+            pivots_of_c.setdefault(non_pivot, set()).add(pivot)
             c_words_of.setdefault(pivot, []).append(non_pivot)
         from_pivot[non_pivot] = from_pivot.get(non_pivot, 0.0) + w
-        pivots_of.setdefault(non_pivot, set()).add(pivot)
 
     h1, h2, h3 = sel.coexistence, sel.missing_contribution, sel.pivot_ambiguity
     rows = []
     growth = False  # some candidate has a missing edge
-    for a in sorted(tg.a_words):
-        pa = pivots_of.get(a)
-        if not pa:
-            continue
+    for a in sorted(pivots_of_a):
+        pa = pivots_of_a[a]
         reachable: set[Word] = set()
         for b in pa:
             reachable.update(c_words_of.get(b, ()))
         from_pivot_a = from_pivot[a]
         for c in sorted(reachable):
-            pc = pivots_of[c]
+            pc = pivots_of_c[c]
             pivots = tuple(sorted(pa | pc))
             if pa == pc:  # every pivot complete
                 miss_ab = miss_bc = ()

@@ -128,7 +128,7 @@ def _iter_lines(text: str | IO[str]) -> Iterator[str]:
 
 def _parse_rows(
     text: str | IO[str], normalize: bool, allow_result_rows: bool = False
-) -> Iterator[tuple[int, str, str]]:
+) -> Iterator[tuple[str, str]]:
     for lineno, raw in enumerate(_iter_lines(text), start=1):
         line = raw.rstrip("\n").rstrip("\r")
         if not line.strip() or line.startswith("#"):
@@ -147,7 +147,7 @@ def _parse_rows(
                 raise ValueError("empty field")
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
-        yield lineno, src, tgt
+        yield src, tgt
 
 
 def _looks_like_result_row(fields: list[str]) -> bool:
@@ -167,7 +167,7 @@ def parse_dictionary(
     """Parse a two-field TSV dictionary; duplicates collapse to one entry."""
     src, tgt = validate_lang(src), validate_lang(tgt)
     entries = set()
-    for _, s, t in _parse_rows(text, normalize):
+    for s, t in _parse_rows(text, normalize):
         entries.add((Word(src, s), Word(tgt, t)))
     if not entries:
         raise ParseError("dictionary has no entries")
@@ -179,7 +179,7 @@ def _parse_pairs(
 ) -> PairSet:
     lang_a, lang_c = validate_lang(lang_a), validate_lang(lang_c)
     pairs = set()
-    for _, a, c in _parse_rows(text, normalize, allow_result_rows):
+    for a, c in _parse_rows(text, normalize, allow_result_rows):
         pairs.add((Word(lang_a, a), Word(lang_c, c)))
     return PairSet(lang_a, lang_c, frozenset(pairs))
 

@@ -330,7 +330,6 @@ def _synonym_candidates(
                         word_a=pair[0],
                         word_c=pair[1],
                         anchor=(wa, wc),
-                        anchor_pivots=pivots,
                         shared_prob=share,
                         missing_edges=missing,
                     )

@@ -3,10 +3,12 @@
 A transgraph holds words of languages A and C on the outside and pivot
 words of language B in the middle; an edge marks a shared-meaning
 indication taken from the input dictionaries (or proposed later by the
-symmetry-completion cycles). A graph's edges are one map from edge key,
-(non-pivot, pivot, side), to probability, kept in edge_sort_key order:
-dictionary edges have probability 1, and a proposed edge has the
-proposing pair's coexistence, clamped into [MIN_EDGE_PROB, 1].
+symmetry-completion cycles). A graph is its id and its edges, one map
+from edge key, (non-pivot, pivot, side), to probability, kept in
+edge_sort_key order: dictionary edges have probability 1, and a proposed
+edge has the proposing pair's coexistence, clamped into [MIN_EDGE_PROB, 1].
+Its word sets are not stored: each access reads them from the edge keys,
+at a cost of O(edges).
 """
 
 from __future__ import annotations
@@ -30,22 +32,28 @@ def edge_sort_key(key: EdgeKey):
 
 
 class Transgraph:
-    """One connected component of the joined dictionaries."""
+    """One connected component of the joined dictionaries: an id and its edges.
 
-    def __init__(
-        self,
-        id: int,
-        a_words: frozenset[Word],
-        b_words: frozenset[Word],
-        c_words: frozenset[Word],
-        edges: dict[EdgeKey, float],
-    ):
+    ``a_words``, ``b_words`` and ``c_words`` are read from the edge keys on
+    each access, at a cost of O(edges); a hot loop walks ``edges`` instead.
+    """
+
+    def __init__(self, id: int, edges: dict[EdgeKey, float]):
         self.id = id
-        self.a_words = a_words
-        self.b_words = b_words
-        self.c_words = c_words
         # edge key -> probability, in edge_sort_key order
         self.edges = edges
+
+    @property
+    def a_words(self) -> frozenset[Word]:
+        return frozenset(np_ for np_, _, side in self.edges if side == SIDE_AB)
+
+    @property
+    def b_words(self) -> frozenset[Word]:
+        return frozenset(pivot for _, pivot, _ in self.edges)
+
+    @property
+    def c_words(self) -> frozenset[Word]:
+        return frozenset(np_ for np_, _, side in self.edges if side == SIDE_BC)
 
 
 class TransgraphSet:
@@ -120,23 +128,16 @@ def build_transgraphs(
     for non_pivot, pivot, _ in keys:
         uf.union(non_pivot, pivot)
 
+    # keys is in edge_sort_key order, so each component's keys are too
     by_root: dict[Word, list[EdgeKey]] = {}
     for key in keys:
         by_root.setdefault(uf.find(key[0]), []).append(key)
 
     components = sorted(by_root.values(), key=lambda ks: min(min(k[:2]) for k in ks))
-    graphs = []
-    for cid, comp_keys in enumerate(components):
-        words = {w for key in comp_keys for w in key[:2]}
-        graphs.append(
-            Transgraph(
-                id=cid,
-                a_words=frozenset(w for w in words if w.lang == lang_a),
-                b_words=frozenset(w for w in words if w.lang == lang_b),
-                c_words=frozenset(w for w in words if w.lang == lang_c),
-                edges=dict.fromkeys(sorted(comp_keys, key=edge_sort_key), 1.0),
-            )
-        )
+    graphs = [
+        Transgraph(cid, dict.fromkeys(comp_keys, 1.0))
+        for cid, comp_keys in enumerate(components)
+    ]
     return TransgraphSet(lang_a, lang_b, lang_c, graphs)
 
 
@@ -172,13 +173,7 @@ def add_new_edges(tg: Transgraph, candidates: Iterable) -> Transgraph:
     edges = dict(tg.edges)
     for key, conf in proposals.items():
         edges[key] = min(max(conf, MIN_EDGE_PROB), 1.0)
-    return Transgraph(
-        id=tg.id,
-        a_words=tg.a_words,
-        b_words=tg.b_words,
-        c_words=tg.c_words,
-        edges={key: edges[key] for key in sorted(edges, key=edge_sort_key)},
-    )
+    return Transgraph(tg.id, {key: edges[key] for key in sorted(edges, key=edge_sort_key)})
 
 
 def component_stats(tg: Transgraph) -> ComponentStats:

@@ -84,14 +84,17 @@ def encode_synonym_cnf(
         cnf.hard.append(hard_clause((-reg.id_of(cognate_desc(cand.pair)),)))
     counts["non_cognate"] = len(rejected)
 
+    anchor_pivots = {cand.pair: cand.pivots for cand in cognates}
     n_link = 0
     for cand in ordered:
         svar = reg.id_of(synonym_desc(cand.pair))
         cnf.hard.append(hard_clause((-svar, reg.id_of(cognate_desc(cand.anchor)))))
         n_link += 1
-        syn_word = cand.word_c if cand.word_a == cand.anchor[0] else cand.word_a
-        side = "BC" if syn_word in tg.c_words else "AB"
-        for pivot in cand.anchor_pivots:
+        if cand.word_a == cand.anchor[0]:  # a synonym of the anchor's C-word
+            syn_word, side = cand.word_c, "BC"
+        else:
+            syn_word, side = cand.word_a, "AB"
+        for pivot in anchor_pivots[cand.anchor]:
             evar = reg.id_of(edge_desc((syn_word, pivot, side)))
             cnf.hard.append(hard_clause((-svar, evar)))
             n_link += 1

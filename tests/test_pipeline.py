@@ -357,7 +357,6 @@ def test_synonym_keeps_the_smallest_of_the_likeliest_anchors():
                         assert (kept.anchor, kept.shared_prob, kept.missing_edges) == (
                             anchor, share, missing
                         ), pair
-                        assert kept.anchor_pivots == by_pair[anchor].pivots
     assert ties >= 50  # equal shares from several anchors are common
 
 

@@ -9,6 +9,7 @@ from helpers import (
     graphs_from,
     random_dictionaries,
     single_graph,
+    wa,
     wb,
     wc,
 )
@@ -77,6 +78,15 @@ class TestBuildTransgraphs:
                 keys = set(g.edges)
                 assert not keys & seen
                 seen |= keys
+            # each word lies in exactly one component's word set
+            words = {
+                "a_words": {wa(a) for a, _ in ab},
+                "b_words": {wb(b) for _, b in ab + cb},
+                "c_words": {wc(c) for c, _ in cb},
+            }
+            for name, expected in words.items():
+                sets = [getattr(g, name) for g in tset.graphs]
+                assert sum(map(len, sets)) == len(expected) and set().union(*sets) == expected
 
     def test_ids_independent_of_input_order(self):
         ab = [("a2", "b2"), ("a1", "b1")]
@@ -191,6 +201,10 @@ def check_growth(before, candidates, after):
             best[key] = max(best.get(key, cand.coexistence), cand.coexistence)
     clamped = {key: min(max(conf, MIN_EDGE_PROB), 1.0) for key, conf in best.items()}
     assert after.edges == {**before.edges, **clamped}
+    # growth joins words already in the graph
+    assert (after.a_words, after.b_words, after.c_words) == (
+        before.a_words, before.b_words, before.c_words
+    )
 
 
 class TestEdgeMap:
