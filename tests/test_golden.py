@@ -75,6 +75,13 @@ INPUTS = {
     # the cap skips the largest component, so skip notices are pinned too;
     # cv exits 2 here (a fold holds no gold pair), which pins that message
     "chained-1": (lambda: chained(1), ["--max-edges", "100"]),
+    # language A's tag sorts after C's, so each C-word sorts before every
+    # A-word; argparse keeps the last flag, so these tags override LANGS
+    "tune-1-c-first": (lambda: gen.tune(1), ["--lang-a", "zz", "--lang-c", "aa"]),
+    "chained-1-c-first": (
+        lambda: chained(1),
+        ["--max-edges", "100", "--lang-a", "zz", "--lang-c", "aa"],
+    ),
 }
 
 LANGS = ["--lang-a", gen.LANG_A, "--lang-b", gen.LANG_B, "--lang-c", gen.LANG_C]
