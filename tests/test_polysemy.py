@@ -1,4 +1,5 @@
 import io
+from math import comb
 
 import pytest
 
@@ -14,9 +15,19 @@ from pivotlex.polysemy import (
 
 
 class TestCorrectTranslations:
-    @pytest.mark.parametrize("n,expected", [(0, 0), (1, 1), (2, 7)])
+    @pytest.mark.parametrize(
+        "n,expected", [(0, 0), (1, 1), (2, 7), (3, 31), (20, 6970423075)]
+    )
     def test_small_values(self, n, expected):
         assert correct_translations(n) == expected
+
+    def test_equals_binomial_sums(self):
+        for n in range(0, MAX_SHARED_SENSES + 1):
+            double = sum(
+                comb(n, i) * comb(i, j) for i in range(1, n + 1) for j in range(1, i + 1)
+            )
+            single = sum(comb(n, i) for i in range(1, n + 1))
+            assert correct_translations(n) == 2 * double - single
 
     def test_bounded_by_total(self):
         for n in range(0, 12):
