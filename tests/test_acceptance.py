@@ -3,7 +3,7 @@
 import math
 import random
 import time
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -271,7 +271,7 @@ def test_criterion_8_cycle_fixpoint():
             assert out.fixpoint, "nine cycles must exhaust any test-size graph"
             # edge-set fixpoint: materializing again changes nothing
             assert add_new_edges(out.graph, out.candidates) is out.graph
-            expected = {(a, c) for a in g.a_words for c in g.c_words}
+            expected = set(product(g.a_words, g.c_words))
             assert {c.pair for c in out.candidates} == expected
             graphs_checked += 1
     assert graphs_checked >= 30

@@ -12,6 +12,7 @@ transgraphs), and beta from 0.3 to 3.
 """
 
 import collections
+import itertools
 import random
 
 import pytest
@@ -85,7 +86,7 @@ def random_gold(rng, tset):
     """A pair of each transgraph that has one, a third of the rest, and one off them all."""
     kept = [(wa("zz"), wc("zz"))]
     for g in tset.graphs:
-        pairs = sorted(((a, c) for a in g.a_words for c in g.c_words), key=str)
+        pairs = sorted(itertools.product(g.a_words, g.c_words), key=str)
         kept += rng.sample(pairs, min(1, len(pairs)))
         kept += [p for p in pairs if rng.random() < 1 / 3]
     return PairSet(LANG_A, LANG_C, frozenset(kept))

@@ -18,6 +18,7 @@ Both must give the same pairs, in the same order with the same stage,
 cost, anchor and transgraph; the rerun must also give the same metrics.
 """
 
+import itertools
 import random
 
 import pytest
@@ -79,7 +80,7 @@ def exhaustive_search(tset, descriptor, gold):
 def random_gold(rng, tset):
     """About half of the transgraphs' A x C pairs plus one pair off them."""
     pairs = sorted(
-        ((a, c) for g in tset.graphs for a in g.a_words for c in g.c_words),
+        (p for g in tset.graphs for p in itertools.product(g.a_words, g.c_words)),
         key=lambda p: (p[0].surface, p[1].surface),
     )
     kept = [p for p in pairs if rng.random() < 0.5] + [(wa("zz"), wc("zz"))]
