@@ -31,7 +31,7 @@ from typing import IO, Iterable, Sequence
 from .heuristics import PairCandidate
 from .lexicon import Word
 from .pipeline import _edge_weights, micro_units
-from .transgraph import SIDE_AB, SIDE_BC, EdgeKey, Transgraph, edge_sort_key
+from .transgraph import SIDE_AB, SIDE_BC, EdgeKey, Transgraph
 
 KIND_COGNATE = "cognate"
 KIND_EDGE = "edge"
@@ -83,8 +83,7 @@ class VarRegistry:
 
 
 def edge_desc(key: EdgeKey) -> tuple:
-    non_pivot, pivot, side = key
-    return (KIND_EDGE, side, non_pivot, pivot)
+    return (KIND_EDGE, *key)
 
 
 def cognate_desc(pair: tuple[Word, Word]) -> tuple:
@@ -122,13 +121,13 @@ def _edge_clauses(
     existing = set(tg.edges)
     existing.update(key for cand in accepted for key in cand.missing_edges)
     new = {key for cand in candidates for key in cand.missing_edges} - existing
-    for key in sorted(existing | new, key=edge_sort_key):
+    for key in sorted(existing | new):
         reg.intern(edge_desc(key))
     cnf = CnfFormula(reg)
-    for key in sorted(existing, key=edge_sort_key):
+    for key in sorted(existing):
         cnf.hard.append(hard_clause((reg.id_of(edge_desc(key)),)))
     weights = _edge_weights(candidates)
-    for key in sorted(new, key=edge_sort_key):
+    for key in sorted(new):
         cnf.soft.append(soft_clause((-reg.id_of(edge_desc(key)),), weights[key]))
     cnf.counts["edge_exists"] = len(cnf.hard)
     cnf.counts["edge_absent"] = len(cnf.soft)
@@ -164,8 +163,8 @@ def encode_cognate_cnf(
     for cand in ordered:
         cvar = reg.id_of(cognate_desc(cand.pair))
         for pivot in cand.pivots:
-            ab = reg.id_of(edge_desc((cand.word_a, pivot, SIDE_AB)))
-            bc = reg.id_of(edge_desc((cand.word_c, pivot, SIDE_BC)))
+            ab = reg.id_of(edge_desc((SIDE_AB, cand.word_a, pivot)))
+            bc = reg.id_of(edge_desc((SIDE_BC, cand.word_c, pivot)))
             cnf.hard.append(hard_clause((-cvar, ab)))
             cnf.hard.append(hard_clause((-cvar, bc)))
             n_sym += 2

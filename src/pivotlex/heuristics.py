@@ -21,10 +21,12 @@ generate_candidates, is one pass over the graph's edges that builds the
 degree sums and the adjacency together, then prices each pair inline as
 it is enumerated into an immutable PairCandidate: signals 1-3 fall out of
 the walk over the pair's pivots (2 and 3 only when selected), and its
-missing edges are the differences of the two words' pivot sets. The form
-similarity is computed only when it is selected, and then only in a round
-whose prices are kept: a growth round, one that still has missing edges
-and is not the last, leaves it out.
+missing edges are the differences of the two words' pivot sets, as
+(side, non-pivot, pivot) keys in key order: the A-word's before the
+C-word's, each in pivot order. The form similarity is computed only when
+it is selected, and then only in a round whose prices are kept: a growth
+round, one that still has missing edges and is not the last, leaves it
+out.
 """
 
 from __future__ import annotations
@@ -160,7 +162,7 @@ def generate_candidates(
     pivots_of_a: dict[Word, set[Word]] = {}
     pivots_of_c: dict[Word, set[Word]] = {}
     c_words_of: dict[Word, list[Word]] = {}
-    for (non_pivot, pivot, side), prob in tg.edges.items():
+    for (side, non_pivot, pivot), prob in tg.edges.items():
         w = 1.0 / prob
         if side == SIDE_AB:
             from_a[pivot] = from_a.get(pivot, 0.0) + w
@@ -189,8 +191,8 @@ def generate_candidates(
                 growth = True
                 # a pivot of only one word hypothesizes the other word's edge,
                 # counted as existing (at probability 1) in its denominators
-                miss_ab = [(a, b, SIDE_AB) for b in pivots if b not in pa]
-                miss_bc = [(c, b, SIDE_BC) for b in pivots if b not in pc]
+                miss_ab = [(SIDE_AB, a, b) for b in pivots if b not in pa]
+                miss_bc = [(SIDE_BC, c, b) for b in pivots if b not in pc]
                 inv_sup_a = 1.0 / (from_pivot_a + len(miss_ab))
                 inv_sup_c = 1.0 / (from_pivot[c] + len(miss_bc))
             inv_from_pivot_a = 1.0 / from_pivot_a
@@ -222,9 +224,7 @@ def generate_candidates(
                 cost += (p_ac + miss_ac) * (p_ca + miss_ca) - coexistence
             if h3:
                 cost += 1.0 - shared
-            # the words differ in language, so a's keys sort before c's or after
-            missing = tuple(miss_ab + miss_bc if a < c else miss_bc + miss_ab)
-            rows.append((a, c, pivots, missing, coexistence, cost))
+            rows.append((a, c, pivots, tuple(miss_ab + miss_bc), coexistence, cost))
 
     if sel.form_similarity and (last_round or not growth):
         # form dissimilarity, capped at 1/100 of a full heuristic unit so it

@@ -301,7 +301,7 @@ def _synonym_candidates(
     taken = {cog.pair for cog in cognates}
     pivot_a: dict[Word, set[Word]] = {}
     pivot_c: dict[Word, set[Word]] = {}
-    for np_, pv, side in present:
+    for side, np_, pv in present:
         (pivot_a if side == SIDE_AB else pivot_c).setdefault(pv, set()).add(np_)
 
     by_pair: dict[tuple[Word, Word], SynonymCandidate] = {}
@@ -321,8 +321,7 @@ def _synonym_candidates(
                 pair = (wa, w) if side == SIDE_BC else (w, wc)
                 if pair in taken:
                     continue
-                # word and side are fixed, so pivot order is edge_sort_key order
-                missing = tuple((w, b, side) for b in pivots if (w, b, side) not in present)
+                missing = tuple((side, w, b) for b in pivots if (side, w, b) not in present)
                 share = (len(pivots) - len(missing)) / len(pivots)
                 prev = by_pair.get(pair)
                 if prev is None or share > prev.shared_prob:

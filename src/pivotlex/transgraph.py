@@ -4,11 +4,13 @@ A transgraph holds words of languages A and C on the outside and pivot
 words of language B in the middle; an edge marks a shared-meaning
 indication taken from the input dictionaries (or proposed later by the
 symmetry-completion cycles). A graph is its id and its edges, one map
-from edge key, (non-pivot, pivot, side), to probability, kept in
-edge_sort_key order: dictionary edges have probability 1, and a proposed
-edge has the proposing pair's coexistence, clamped into [MIN_EDGE_PROB, 1].
-Its word sets are not stored: each access reads them from the edge keys,
-at a cost of O(edges).
+from edge key, (side, non-pivot, pivot), to probability: dictionary edges
+have probability 1, and a proposed edge has the proposing pair's
+coexistence, clamped into [MIN_EDGE_PROB, 1]. Its word sets are not
+stored: each access reads them from the edge keys, at a cost of O(edges).
+
+Edge keys have one order, their natural tuple order: a graph's edges and
+every candidate's missing edges are kept in key order.
 """
 
 from __future__ import annotations
@@ -23,12 +25,7 @@ SIDE_BC = "BC"
 # proposed-edge confidence is clamped into (0, 1]
 MIN_EDGE_PROB = 1e-6
 
-EdgeKey = tuple[Word, Word, str]  # (non_pivot, pivot, side)
-
-
-def edge_sort_key(key: EdgeKey):
-    non_pivot, pivot, side = key
-    return (side, non_pivot, pivot)
+EdgeKey = tuple[str, Word, Word]  # (side, non_pivot, pivot)
 
 
 class Transgraph:
@@ -40,20 +37,20 @@ class Transgraph:
 
     def __init__(self, id: int, edges: dict[EdgeKey, float]):
         self.id = id
-        # edge key -> probability, in edge_sort_key order
+        # edge key -> probability, in key order
         self.edges = edges
 
     @property
     def a_words(self) -> frozenset[Word]:
-        return frozenset(np_ for np_, _, side in self.edges if side == SIDE_AB)
+        return frozenset(np_ for side, np_, _ in self.edges if side == SIDE_AB)
 
     @property
     def b_words(self) -> frozenset[Word]:
-        return frozenset(pivot for _, pivot, _ in self.edges)
+        return frozenset(pivot for _, _, pivot in self.edges)
 
     @property
     def c_words(self) -> frozenset[Word]:
-        return frozenset(np_ for np_, _, side in self.edges if side == SIDE_BC)
+        return frozenset(np_ for side, np_, _ in self.edges if side == SIDE_BC)
 
 
 class TransgraphSet:
@@ -121,19 +118,19 @@ def build_transgraphs(
         raise ValueError("the two non-pivot languages must differ")
     lang_a, lang_b, lang_c = dict_ab.source, dict_ab.target, dict_cb.source
 
-    keys = [(a, b, SIDE_AB) for a, b in sorted(dict_ab.entries)]
-    keys += [(c, b, SIDE_BC) for c, b in sorted(dict_cb.entries)]
+    keys = [(SIDE_AB, a, b) for a, b in sorted(dict_ab.entries)]
+    keys += [(SIDE_BC, c, b) for c, b in sorted(dict_cb.entries)]
 
     uf = UnionFind()
-    for non_pivot, pivot, _ in keys:
+    for _, non_pivot, pivot in keys:
         uf.union(non_pivot, pivot)
 
-    # keys is in edge_sort_key order, so each component's keys are too
+    # keys is in key order, so each component's keys are too
     by_root: dict[Word, list[EdgeKey]] = {}
     for key in keys:
-        by_root.setdefault(uf.find(key[0]), []).append(key)
+        by_root.setdefault(uf.find(key[1]), []).append(key)
 
-    components = sorted(by_root.values(), key=lambda ks: min(min(k[:2]) for k in ks))
+    components = sorted(by_root.values(), key=lambda ks: min(min(k[1:]) for k in ks))
     graphs = [
         Transgraph(cid, dict.fromkeys(comp_keys, 1.0))
         for cid, comp_keys in enumerate(components)
@@ -173,7 +170,7 @@ def add_new_edges(tg: Transgraph, candidates: Iterable) -> Transgraph:
     edges = dict(tg.edges)
     for key, conf in proposals.items():
         edges[key] = min(max(conf, MIN_EDGE_PROB), 1.0)
-    return Transgraph(tg.id, {key: edges[key] for key in sorted(edges, key=edge_sort_key)})
+    return Transgraph(tg.id, {key: edges[key] for key in sorted(edges)})
 
 
 def component_stats(tg: Transgraph) -> ComponentStats:

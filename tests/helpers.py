@@ -108,20 +108,20 @@ def marginal_probability(tg: Transgraph, word: Word, side: str | None = None) ->
             side = SIDE_BC
         else:
             raise ValueError("side is required for pivot words")
-    side_edges = [key for key in tg.edges if key[2] == side]
+    side_edges = [key for key in tg.edges if key[0] == side]
     if not side_edges:
         raise ValueError(f"no edges on side {side}")
-    touching = [key for key in side_edges if word in key[:2]]
+    touching = [key for key in side_edges if word in key[1:]]
     return len(touching) / len(side_edges)
 
 
 def joint_probability(tg: Transgraph, non_pivot: Word, pivot: Word) -> float:
     """Share of one dictionary side's edges that join exactly this pair."""
     side = SIDE_AB if non_pivot in tg.a_words else SIDE_BC
-    side_edges = [key for key in tg.edges if key[2] == side]
+    side_edges = [key for key in tg.edges if key[0] == side]
     if not side_edges:
         raise ValueError(f"no edges on side {side}")
-    hit = 1 if (non_pivot, pivot, side) in tg.edges else 0
+    hit = 1 if (side, non_pivot, pivot) in tg.edges else 0
     return hit / len(side_edges)
 
 

@@ -95,7 +95,7 @@ def encode_synonym_cnf(
         else:
             syn_word, side = cand.word_a, "AB"
         for pivot in anchor_pivots[cand.anchor]:
-            evar = reg.id_of(edge_desc((syn_word, pivot, side)))
+            evar = reg.id_of(edge_desc((side, syn_word, pivot)))
             cnf.hard.append(hard_clause((-svar, evar)))
             n_link += 1
     counts["synonym_link"] = n_link

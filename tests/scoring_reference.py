@@ -34,7 +34,7 @@ def compute_tables(tg: Transgraph) -> Tables:
     from_a: dict[Word, float] = {}
     from_c: dict[Word, float] = {}
     from_pivot: dict[Word, float] = {}
-    for (non_pivot, pivot, side), prob in tg.edges.items():
+    for (side, non_pivot, pivot), prob in tg.edges.items():
         w = 1.0 / prob
         table = from_a if side == SIDE_AB else from_c
         table[pivot] = table.get(pivot, 0.0) + w
@@ -52,7 +52,7 @@ def generate_candidates(
     """
     word_pivots: dict[Word, set[Word]] = {}
     pivot_c_neighbors: dict[Word, set[Word]] = {}
-    for non_pivot, pivot, side in tg.edges:
+    for side, non_pivot, pivot in tg.edges:
         word_pivots.setdefault(non_pivot, set()).add(pivot)
         if side == SIDE_BC:
             pivot_c_neighbors.setdefault(pivot, set()).add(non_pivot)
@@ -67,10 +67,10 @@ def generate_candidates(
             pivots = tuple(sorted(pivots_a | word_pivots[c]))
             missing = []
             for b in pivots:
-                if (a, b, SIDE_AB) not in tg.edges:
-                    missing.append((a, b, SIDE_AB))
-                if (c, b, SIDE_BC) not in tg.edges:
-                    missing.append((c, b, SIDE_BC))
+                if (SIDE_AB, a, b) not in tg.edges:
+                    missing.append((SIDE_AB, a, b))
+                if (SIDE_BC, c, b) not in tg.edges:
+                    missing.append((SIDE_BC, c, b))
             missing.sort()
             coex, miss, amb = compute_cognate_probabilities(a, c, pivots, missing, tables)
             cost = compute_edge_cost(sel, coex, miss, amb, a.surface, c.surface)
@@ -97,8 +97,8 @@ def compute_cognate_probabilities(
     if not pivots:
         raise ValueError(f"candidate {(a, c)} has no pivots")
     from_a, from_c, from_pivot = tables
-    hyp_ab = {pv for (_, pv, side) in missing_edges if side == SIDE_AB}
-    hyp_bc = {pv for (_, pv, side) in missing_edges if side == SIDE_BC}
+    hyp_ab = {pv for (side, _, pv) in missing_edges if side == SIDE_AB}
+    hyp_bc = {pv for (side, _, pv) in missing_edges if side == SIDE_BC}
     sup_from_pivot_a = from_pivot.get(a, 0.0) + len(hyp_ab)
     sup_from_pivot_c = from_pivot.get(c, 0.0) + len(hyp_bc)
 

@@ -72,8 +72,8 @@ class TestInverseConsultation:
             tset = build_transgraphs(d_ab, d_cb)
             connected = set()
             for g in tset.graphs:
-                ab = [(a, b) for a, b, side in g.edges if side == SIDE_AB]
-                cb = [(c, b) for c, b, side in g.edges if side == SIDE_BC]
+                ab = [(a, b) for side, a, b in g.edges if side == SIDE_AB]
+                cb = [(c, b) for side, c, b in g.edges if side == SIDE_BC]
                 connected |= {(a, c) for a, b in ab for c, b_c in cb if b == b_c}
             assert ic1.pairs == frozenset(connected)
 

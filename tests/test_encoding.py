@@ -139,12 +139,12 @@ class TestCognateEncoding:
             [("c1", "b1"), ("c1", "b2"), ("c2", "b1"), ("c2", "b2"), ("c2", "b3")],
         )
         cands = prepared(g)
-        owners = [c for c in cands if (wa("a1"), wb("b2"), "AB") in c.missing_edges]
+        owners = [c for c in cands if ("AB", wa("a1"), wb("b2")) in c.missing_edges]
         assert len(owners) == 2
         assert owners[0].edge_cost != owners[1].edge_cost
         cheapest = min(o.edge_cost for o in owners)
         cnf = encode_cognate_cnf(g, cands)
-        evar = cnf.registry.id_of(edge_desc((wa("a1"), wb("b2"), "AB")))
+        evar = cnf.registry.id_of(edge_desc(("AB", wa("a1"), wb("b2"))))
         (sc,) = [c for c in cnf.soft if c.literals == (-evar,)]
         assert sc.micro / MICRO == pytest.approx(cheapest, abs=1e-6)
 

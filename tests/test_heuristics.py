@@ -46,7 +46,7 @@ class TestGenerateCandidates:
         assert full.missing_edges == ()
         partial = cands[(wa("a1"), wc("c2"))]
         assert partial.pivots == (wb("b1"), wb("b2"))
-        assert partial.missing_edges == ((wc("c2"), wb("b2"), SIDE_BC),)
+        assert partial.missing_edges == ((SIDE_BC, wc("c2"), wb("b2")),)
 
     def test_single_chain(self):
         g = single_graph([("a1", "b1")], [("c1", "b1")])
@@ -144,15 +144,15 @@ def _coexistence_by_enumeration(g, a, c):
     def recip_degree(word, side=None):
         total = 0.0
         for key, prob in g.edges.items():
-            if side is not None and key[2] != side:
+            if side is not None and key[0] != side:
                 continue
-            if word in key[:2]:
+            if word in key[1:]:
                 total += 1.0 / prob
         return total
 
     p_ac = p_ca = 0.0
     for b in g.b_words:
-        if (a, b, SIDE_AB) in g.edges and (c, b, SIDE_BC) in g.edges:
+        if (SIDE_AB, a, b) in g.edges and (SIDE_BC, c, b) in g.edges:
             p_ac += (1.0 / recip_degree(b, SIDE_AB)) * (1.0 / recip_degree(c))
             p_ca += (1.0 / recip_degree(b, SIDE_BC)) * (1.0 / recip_degree(a))
     return p_ac * p_ca

@@ -28,7 +28,7 @@ METRICS = Metrics(0.5, 0.25, 1 / 3)
 GRID = GridPoint(0.1, None, METRICS)
 PLAN = FoldPlan(2, ((0,), (1,)))
 FOLD = FoldResult(0, (0,), GRID, METRICS)
-GRAPH = Transgraph(0, {(A1, B1, "AB"): 1.0, (C1, B1, "BC"): 1.0})
+GRAPH = Transgraph(0, {("AB", A1, B1): 1.0, ("BC", C1, B1): 1.0})
 SELECTION = HeuristicSelection(True, False, False, True)
 
 RECORDS = [
@@ -38,7 +38,7 @@ RECORDS = [
     FOLD,
     CvReport(PLAN, (FOLD,), 0.5),
     TTestReport(1.0, 2, 0.2, 0.1),
-    SynonymCandidate(A2, C1, (A1, C1), 0.5, ((A2, B1, "AB"),)),
+    SynonymCandidate(A2, C1, (A1, C1), 0.5, (("AB", A2, B1),)),
     parse_method("2:S:H14"),
     InducedPair(A1, C1, "synonym", 0.5, 0, (A2, C1)),
     CycleResult(GRAPH, (), 1, True),
@@ -139,7 +139,7 @@ def test_worker_records_pickle_round_trip(record):
 
 def test_transgraph_pickle_round_trip():
     # spawn and forkserver --jobs workers receive their graphs pickled
-    graph = Transgraph(3, {(A1, B1, "AB"): 1.0, (A2, B1, "AB"): 0.5, (C1, B1, "BC"): 0.25})
+    graph = Transgraph(3, {("AB", A1, B1): 1.0, ("AB", A2, B1): 0.5, ("BC", C1, B1): 0.25})
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         back = pickle.loads(pickle.dumps(graph, protocol))
         assert back.id == 3 and list(back.edges.items()) == list(graph.edges.items())

@@ -30,8 +30,9 @@ SELECTIONS = [
 def random_graphs(seed: int, count: int):
     """Graphs of `count` random dictionary pairs of varied size and density.
 
-    Every other pair renames language A to one that sorts after C, which
-    puts a candidate's C-side missing edges first.
+    Every other pair renames language A to one that sorts after C, so
+    A-words sort before C-words in half of the graphs and after them in
+    the rest; the missing edges stay in key order, A-side first, either way.
     """
     rng = random.Random(seed)
     for i in range(count):

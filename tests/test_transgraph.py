@@ -21,7 +21,6 @@ from pivotlex.transgraph import (
     add_new_edges,
     build_transgraphs,
     component_stats,
-    edge_sort_key,
     filter_big,
 )
 from test_selection import (
@@ -140,7 +139,7 @@ class TestAddNewEdges:
         cands = _scored(g)
         g2 = add_new_edges(g, cands)
         added = [key for key in g2.edges if key not in g.edges]
-        assert added == [(wc("c2"), wb("b2"), "BC")]
+        assert added == [("BC", wc("c2"), wb("b2"))]
         # confidence mirrors the proposing candidate's coexistence
         (cand,) = [c for c in cands if c.word_c == wc("c2")]
         assert g2.edges[added[0]] == pytest.approx(cand.coexistence)
@@ -188,9 +187,14 @@ def selection_graphs():
 
 def check_edge_map(g, input_keys):
     keys = list(g.edges)
-    assert keys == sorted(keys, key=edge_sort_key)
+    assert keys == sorted(keys)
     assert all(g.edges[key] == 1.0 for key in input_keys)
     assert all(MIN_EDGE_PROB <= prob <= 1.0 for prob in g.edges.values())
+
+
+def check_missing_order(candidates):
+    for cand in candidates:
+        assert cand.missing_edges == tuple(sorted(cand.missing_edges))
 
 
 def check_growth(before, candidates, after):
@@ -214,9 +218,11 @@ class TestEdgeMap:
             check_edge_map(tg, tg.edges)
             prev = run_cycles(tg, parse_method("1:C:H1"))
             assert prev.graph is tg
+            check_missing_order(prev.candidates)
             for cycle in (2, 3):
                 out = run_cycles(tg, parse_method(f"{cycle}:C:H1"))
                 check_edge_map(out.graph, tg.edges)
+                check_missing_order(out.candidates)
                 check_growth(prev.graph, prev.candidates, out.graph)
                 # the coexistences here lie in (1e-6, 2/3]: push them out of
                 # range on both sides so that the clamp is exercised too
