@@ -170,7 +170,7 @@ def add_new_edges(tg: Transgraph, candidates: Iterable) -> Transgraph:
     edges = dict(tg.edges)
     for key, conf in proposals.items():
         edges[key] = min(max(conf, MIN_EDGE_PROB), 1.0)
-    return Transgraph(tg.id, {key: edges[key] for key in sorted(edges)})
+    return Transgraph(tg.id, dict(sorted(edges.items())))
 
 
 def component_stats(tg: Transgraph) -> ComponentStats:
