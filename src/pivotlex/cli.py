@@ -93,24 +93,28 @@ def _add_dict_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-edges", type=_POSITIVE_INT, default=DEFAULT_MAX_EDGES)
 
 
+def _read(path: str, parse, *args):
+    """`parse(f, *args)` on the UTF-8 file at `path`; its input errors name the file."""
+    try:
+        with open(path, encoding="utf-8-sig") as f:
+            return parse(f, *args)
+    except (ParseError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
 def _load_dicts(args):
     normalize = not args.no_normalize
-    with open(args.dict_ab, encoding="utf-8-sig") as f:
-        dict_ab = parse_dictionary(f, args.lang_a, args.lang_b, normalize)
+    dict_ab = _read(args.dict_ab, parse_dictionary, args.lang_a, args.lang_b, normalize)
     if args.invert_cb:
-        with open(args.dict_cb, encoding="utf-8-sig") as f:
-            dict_cb = invert_dictionary(
-                parse_dictionary(f, args.lang_b, args.lang_c, normalize)
-            )
-    else:
-        with open(args.dict_cb, encoding="utf-8-sig") as f:
-            dict_cb = parse_dictionary(f, args.lang_c, args.lang_b, normalize)
-    return dict_ab, dict_cb
+        dict_bc = _read(args.dict_cb, parse_dictionary, args.lang_b, args.lang_c, normalize)
+        return dict_ab, invert_dictionary(dict_bc)
+    return dict_ab, _read(args.dict_cb, parse_dictionary, args.lang_c, args.lang_b, normalize)
 
 
 def _load_gold(args):
-    with open(args.gold, encoding="utf-8-sig") as f:
-        return parse_gold_standard(f, args.lang_a, args.lang_c, not args.no_normalize)
+    return _read(
+        args.gold, parse_gold_standard, args.lang_a, args.lang_c, not args.no_normalize
+    )
 
 
 def _build_transgraphs(args):
@@ -155,11 +159,10 @@ def _cmd_baseline(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    with open(args.result, encoding="utf-8-sig") as f:
-        result = parse_pair_file(f, args.lang_a, args.lang_c, not args.no_normalize)
-    with open(args.gold, encoding="utf-8-sig") as f:
-        gold = parse_gold_standard(f, args.lang_a, args.lang_c, not args.no_normalize)
-    metrics = evaluation.score(result, gold, args.beta)
+    result = _read(
+        args.result, parse_pair_file, args.lang_a, args.lang_c, not args.no_normalize
+    )
+    metrics = evaluation.score(result, _load_gold(args), args.beta)
     sys.stdout.write(evaluation.metrics_tsv(metrics))
     return 0
 
@@ -201,8 +204,8 @@ def _cmd_cv(args) -> int:
 
 
 def _cmd_ttest(args) -> int:
-    xs = _read_numbers(args.xs)
-    ys = _read_numbers(args.ys)
+    xs = _read(args.xs, _parse_numbers)
+    ys = _read(args.ys, _parse_numbers)
     report = evaluation.paired_t_test(xs, ys)
     sys.stdout.write(
         f"t\t{report.t_stat:.4f}\ndf\t{report.df}\n"
@@ -211,20 +214,19 @@ def _cmd_ttest(args) -> int:
     return 0
 
 
-def _read_numbers(path: str) -> list[float]:
+def _parse_numbers(lines) -> list[float]:
     values = []
-    with open(path, encoding="utf-8-sig") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                value = float(line)
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: not a number") from exc
-            if not math.isfinite(value):
-                raise ParseError(f"{path}: line {lineno}: not a finite number")
-            values.append(value)
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            value = float(line)
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: not a number") from exc
+        if not math.isfinite(value):
+            raise ParseError(f"line {lineno}: not a finite number")
+        values.append(value)
     return values
 
 

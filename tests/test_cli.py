@@ -28,6 +28,9 @@ def workdir(tmp_path):
     return tmp_path
 
 
+FIELDS_2_GOT_1 = "line 2: expected 2 tab-separated fields, got 1"
+
+
 def dict_flags(d, cb="cb.tsv"):
     return [
         "--dict-ab", str(d / "ab.tsv"),
@@ -242,6 +245,36 @@ class TestInduce:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "name, content, message",
+        [
+            pytest.param("ab.tsv", b"a1\tb1\na2\n", FIELDS_2_GOT_1, id="dict-ab"),
+            pytest.param("cb.tsv", b"c1\tb1\nc2\n", FIELDS_2_GOT_1, id="dict-cb"),
+            pytest.param("bc.tsv", b"b1\tc1\nb2\n", FIELDS_2_GOT_1, id="dict-cb inverted"),
+            pytest.param("ab.tsv", b"# a comment\n\n", "dictionary has no entries", id="empty"),
+            pytest.param(
+                "cb.tsv",
+                b"c1\tb1\nc\xff\tb2\n",
+                "'utf-8' codec can't decode byte 0xff in position 7: invalid start byte",
+                id="not utf-8",
+            ),
+        ],
+    )
+    def test_bad_dictionary_is_data_error_naming_the_file(
+        self, workdir, capsys, name, content, message
+    ):
+        (workdir / name).write_bytes(content)
+        invert = ["--invert-cb"] if name == "bc.tsv" else []
+        code = main(
+            [
+                "induce", *dict_flags(workdir, cb="bc.tsv" if invert else "cb.tsv"), *invert,
+                "--method", "1:C:H1", "-o", str(workdir / "out.tsv"),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {workdir / name}: {message}\n"
+        assert not (workdir / "out.tsv").exists()
+
     def test_missing_required_flag_is_usage_error(self):
         assert main(["induce", "--method", "1:C:H1"]) == 1
 
@@ -296,6 +329,25 @@ class TestEval:
         )
         assert code == 0
         assert "precision\t1.000000\nrecall\t1.000000\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("spoiled", ["res.tsv", "gold.tsv"])
+    def test_malformed_file_is_data_error_naming_it(self, workdir, capsys, spoiled):
+        (workdir / "res.tsv").write_text("a1\tc1\tcognate\t0.000000\n", encoding="utf-8")
+        path = workdir / spoiled
+        with open(path, "a", encoding="utf-8") as f:
+            f.write("a2\tc2\tcognate\n")
+        code = main(
+            [
+                "eval",
+                "--result", str(workdir / "res.tsv"),
+                "--gold", str(workdir / "gold.tsv"),
+                "--lang-a", "aaa", "--lang-c", "ccc",
+            ]
+        )
+        assert code == 2
+        line = 2 if spoiled == "res.tsv" else 3
+        expected = f"error: {path}: line {line}: expected 2 tab-separated fields, got 3\n"
+        assert capsys.readouterr().err == expected
 
 
 MAX_EDGES_COMMANDS = [
@@ -380,6 +432,16 @@ def test_bad_beta_is_usage_error(workdir, capsys, command, beta):
 @pytest.mark.parametrize("command", ["grid-search", "cv"])
 def test_exact_flag_is_gone(workdir, command):
     assert main([*SCORING_COMMANDS[command](workdir), "--exact"]) == 1
+
+
+@pytest.mark.parametrize("command", ["grid-search", "cv"])
+def test_malformed_gold_is_data_error_naming_the_file(workdir, capsys, command):
+    gold = workdir / "gold.tsv"
+    gold.write_text("a1\tc1\na2\n", encoding="utf-8")
+    assert main(SCORING_COMMANDS[command](workdir)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {gold}: {FIELDS_2_GOT_1}\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(
