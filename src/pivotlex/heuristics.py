@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .lexicon import Word
+from .lexicon import Word, _checked_make
 from .transgraph import SIDE_AB, SIDE_BC, EdgeKey, Transgraph
 
 
@@ -109,9 +109,7 @@ class HeuristicSelection(_SelectionFields):
             raise ValueError("at least one heuristic must be selected")
         return tuple.__new__(cls, flags)
 
-    @classmethod
-    def _make(cls, fields):  # so that _replace checks too
-        return cls(*fields)
+    _make = classmethod(_checked_make)
 
     @classmethod
     def from_token(cls, token: str) -> "HeuristicSelection":

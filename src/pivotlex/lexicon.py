@@ -14,7 +14,7 @@ from typing import IO, Iterable, Iterator, NamedTuple
 
 
 class ParseError(ValueError):
-    """Malformed input; the message carries the 1-based line number."""
+    """Malformed input; the message gives the 1-based line number where there is one."""
 
 
 def validate_lang(code: str) -> str:
@@ -37,6 +37,10 @@ def normalize_word(raw: str) -> str:
     return collapsed
 
 
+def _checked_make(cls, fields):  # a checked record's _make, so that _replace checks too
+    return cls(*fields)
+
+
 class _WordFields(NamedTuple):
     lang: str
     surface: str
@@ -56,9 +60,7 @@ class Word(_WordFields):
             raise ValueError("empty word surface")
         return tuple.__new__(cls, (lang, surface))
 
-    @classmethod
-    def _make(cls, fields):  # so that _replace checks too
-        return cls(*fields)
+    _make = classmethod(_checked_make)
 
 
 class _DictionaryFields(NamedTuple):
@@ -80,9 +82,7 @@ class BilingualDictionary(_DictionaryFields):
                 raise ValueError(f"entry ({s}, {t}) does not match declared languages")
         return tuple.__new__(cls, (source, target, entries))
 
-    @classmethod
-    def _make(cls, fields):  # so that _replace checks too
-        return cls(*fields)
+    _make = classmethod(_checked_make)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -105,9 +105,7 @@ class PairSet(_PairSetFields):
                 raise ValueError(f"pair ({a}, {c}) does not match declared languages")
         return tuple.__new__(cls, (lang_a, lang_c, pairs))
 
-    @classmethod
-    def _make(cls, fields):  # so that _replace checks too
-        return cls(*fields)
+    _make = classmethod(_checked_make)
 
     def __len__(self) -> int:
         return len(self.pairs)

@@ -67,7 +67,7 @@ from .heuristics import (
     SynonymCandidate,
     generate_candidates,
 )
-from .lexicon import BilingualDictionary, Word
+from .lexicon import BilingualDictionary, Word, _checked_make
 from .transgraph import (
     SIDE_AB,
     SIDE_BC,
@@ -150,9 +150,7 @@ class HyperParams(_ThresholdFields):
             raise ValueError("synonym threshold must lie in [0, 1]")
         return tuple.__new__(cls, (cognate_threshold, synonym_threshold))
 
-    @classmethod
-    def _make(cls, fields):  # so that _replace checks too
-        return cls(*fields)
+    _make = classmethod(_checked_make)
 
 
 class InducedPair(NamedTuple):
