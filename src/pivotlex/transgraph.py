@@ -108,7 +108,10 @@ def build_transgraphs(
 
     Both dictionaries must be oriented non-pivot -> pivot and share the
     pivot language on the target side. Component ids are assigned by the
-    smallest word contained, so they do not depend on input order.
+    smallest word contained, so they do not depend on input order. Words
+    compare by language tag first, so the tags' spelling orders the ids (by
+    smallest pivot with min/ind/zlm, by smallest A-word with a/b/c), and with
+    them the cv folds, which are runs of consecutive ids.
     """
     if dict_ab.target != dict_cb.target:
         raise ValueError(
