@@ -112,9 +112,12 @@ def _load_dicts(args):
 
 
 def _load_gold(args):
-    return _read(
+    gold = _read(
         args.gold, parse_gold_standard, args.lang_a, args.lang_c, not args.no_normalize
     )
+    if not gold.pairs:
+        raise ParseError(f"{args.gold}: gold standard is empty")
+    return gold
 
 
 def _build_transgraphs(args):

@@ -228,8 +228,8 @@ def generate_candidates(
         # form dissimilarity, capped at 1/100 of a full heuristic unit so it
         # only breaks ties between otherwise equal candidates
         return [
-            PairCandidate(
-                a, c, pivots, missing, coex, cost + (1.0 - lcsr(a.surface, c.surface)) / 100.0
+            PairCandidate._make(
+                (a, c, pivots, missing, coex, cost + (1.0 - lcsr(a.surface, c.surface)) / 100.0)
             )
             for a, c, pivots, missing, coex, cost in rows
         ]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import unicodedata
+from operator import attrgetter
 from typing import IO, Iterable, Iterator, NamedTuple
 
 
@@ -201,7 +202,7 @@ def write_result_pairs(result: Iterable, sink: IO[str]) -> None:
 
     Accepts any objects exposing word_a, word_c, stage and cost.
     """
-    rows = sorted(result, key=lambda p: (p.word_a, p.word_c))
+    rows = sorted(result, key=attrgetter("word_a", "word_c"))
     for p in rows:
         sink.write(f"{p.word_a.surface}\t{p.word_c.surface}\t{p.stage}\t{p.cost:.6f}\n")
 

@@ -40,26 +40,28 @@ unthresholded run per transgraph (StageRuns) once and cuts prefixes
 in one threshold sweep (evaluation._sweep) of the thresholds where some
 prefix grows.
 
-With jobs > 1, induce_on_transgraphs hands the graphs, the descriptor and
-the thresholds to the worker pool once, through its initializer, into the
-module-level _shared. Under the fork start method (the Linux default
-before Python 3.14) workers inherit them and nothing is pickled; under
-spawn or forkserver each worker unpickles a copy of every graph, which
-can cost more than the pool saves (the README gives timings). A task is
-a tuple of graph indices: the graphs are sorted by edge count and dealt
-round-robin, largest first, into about four chunks per worker. Workers
-return (id, pairs, report) triples, and the results are aggregated by id
-as in a serial run. The garbage collector is frozen while the pool runs
-(gc.freeze), so neither this process nor a forked worker walks, and so
-copies, the objects they share; gc.unfreeze afterwards also thaws
-whatever a caller had frozen.
+With jobs > 1, induce_on_transgraphs splits the graphs into
+min(jobs, graphs) shares of about equal edge count (_balanced_shares),
+forks one child per share after the first and induces the first share
+itself. A child inherits the graphs, the descriptor and the thresholds,
+so nothing is pickled on the way out; it sends back one pickled
+(id, pairs, report) list, or the exception it raised, through a pipe and
+ends with os._exit. The results are aggregated by id as in a serial run.
+Without os.fork (Windows) the graphs are induced serially. The garbage
+collector is frozen while the children run (gc.freeze), so neither this
+process nor a child walks, and so copies, the objects they share;
+gc.unfreeze afterwards also thaws whatever a caller had frozen. A fork
+copies only the calling thread, so a caller that forks children should
+have no other thread running.
 """
 
 from __future__ import annotations
 
 import gc
 import heapq
-from typing import NamedTuple, Sequence
+import os
+from operator import itemgetter
+from typing import BinaryIO, NamedTuple, Sequence
 
 from .heuristics import (
     HeuristicSelection,
@@ -85,6 +87,9 @@ SYNONYM = "synonym"
 DEFAULT_MAX_EDGES = 2000
 
 MICRO = 10**6
+
+# a candidate's or an induced pair's (word_a, word_c)
+_pair = itemgetter(0, 1)
 
 
 def micro_units(weight: float) -> int:
@@ -236,7 +241,7 @@ def _run_stage(
     ``exclusive``, a candidate sharing a word with an accepted one is
     blocked.
     """
-    ranked = sorted(candidates, key=lambda c: c.pair)
+    ranked = sorted(candidates, key=_pair)
     weight = {key: micro_units(w) for key, w in _edge_weights(ranked).items()}
     wanting: dict[EdgeKey, list[int]] = {}
     cost: list[int] = []
@@ -274,7 +279,9 @@ def _run_stage(
             used_a.add(cand.word_a)
             used_c.add(cand.word_c)
         anchor = cand.anchor if isinstance(cand, SynonymCandidate) else None
-        accepted.append(InducedPair(cand.word_a, cand.word_c, stage, micro / MICRO, tg_id, anchor))
+        accepted.append(
+            InducedPair._make((cand.word_a, cand.word_c, stage, micro / MICRO, tg_id, anchor))
+        )
     return tuple(accepted)
 
 
@@ -296,7 +303,7 @@ def _synonym_candidates(
     present = set(tg.edges)
     for cog in cognates:
         present.update(cog.missing_edges)
-    taken = {cog.pair for cog in cognates}
+    taken = set(map(_pair, cognates))
     pivot_a: dict[Word, set[Word]] = {}
     pivot_c: dict[Word, set[Word]] = {}
     for side, np_, pv in present:
@@ -304,8 +311,8 @@ def _synonym_candidates(
 
     by_pair: dict[tuple[Word, Word], SynonymCandidate] = {}
     # an anchor proposes each pair once, and later anchors are larger
-    for anchor in sorted(cognates, key=lambda c: c.pair):
-        wa, wc = anchor.pair
+    for anchor in sorted(cognates, key=_pair):
+        wa, wc = _pair(anchor)
         pivots = anchor.pivots  # in pivot order
         for side, seed_word, neighbours in (
             (SIDE_BC, wc, pivot_c),
@@ -323,14 +330,8 @@ def _synonym_candidates(
                 share = (len(pivots) - len(missing)) / len(pivots)
                 prev = by_pair.get(pair)
                 if prev is None or share > prev.shared_prob:
-                    by_pair[pair] = SynonymCandidate(
-                        word_a=pair[0],
-                        word_c=pair[1],
-                        anchor=(wa, wc),
-                        shared_prob=share,
-                        missing_edges=missing,
-                    )
-    return sorted(by_pair.values(), key=lambda c: c.pair)
+                    by_pair[pair] = SynonymCandidate._make((*pair, (wa, wc), share, missing))
+    return sorted(by_pair.values(), key=_pair)
 
 
 def run_synonym_stage(
@@ -373,8 +374,8 @@ class StageRuns:
             return cognates, ()
         k = len(cognates)
         if k not in self._synonyms:
-            kept = {p.pair for p in cognates}
-            anchors = [c for c in self.cycles.candidates if c.pair in kept]
+            kept = set(map(_pair, cognates))
+            anchors = [c for c in self.cycles.candidates if _pair(c) in kept]
             self._synonyms[k] = run_synonym_stage(self.cycles.graph, anchors)
         return cognates, _cut(self._synonyms[k], st)
 
@@ -403,33 +404,19 @@ def _induce_one(
     return tg.id, list(cognates + synonyms), report
 
 
-# a worker's (graphs, descriptor, hp), set once by the pool's initializer
-_shared: tuple[Sequence[Transgraph], MethodDescriptor, HyperParams] | None = None
+def _balanced_shares(graphs: Sequence[Transgraph], n: int) -> list[list[int]]:
+    """Deal graph indices into n shares, each to the share with the fewest edges so far.
 
-
-def _share(graphs, descriptor, hp) -> None:
-    global _shared
-    _shared = (graphs, descriptor, hp)
-
-
-def _induce_chunk(
-    indices: tuple[int, ...],
-) -> list[tuple[int, list[InducedPair], TransgraphReport]]:
-    graphs, descriptor, hp = _shared
-    return [_induce_one(graphs[i], descriptor, hp) for i in indices]
-
-
-def _largest_first(graphs: Sequence[Transgraph], workers: int) -> list[tuple[int, ...]]:
-    """Deal graph indices, largest graph first, into about four chunks per worker.
-
-    Dealing round-robin down the size order gives every chunk a share of
-    the big graphs, and the first chunks out hold the biggest, so no large
-    graph is left to run alone at the end. A chunk costs one round trip to
-    a worker, which costs more than inducing a small graph.
+    Largest graph first, and ties go to the lowest share, so share 0, the
+    one the calling process induces, holds the largest graph.
     """
-    order = sorted(range(len(graphs)), key=lambda i: -len(graphs[i].edges))
-    n = min(len(order), 4 * workers)
-    return [tuple(order[k::n]) for k in range(n)]
+    shares: list[list[int]] = [[] for _ in range(n)]
+    loads = [0] * n  # edges dealt to each share
+    for i in sorted(range(len(graphs)), key=lambda i: -len(graphs[i].edges)):
+        k = loads.index(min(loads))
+        shares[k].append(i)
+        loads[k] += len(graphs[i].edges)
+    return shares
 
 
 def induce_on_transgraphs(
@@ -445,29 +432,59 @@ def induce_on_transgraphs(
     """
     hp = hp or HyperParams()
     graphs = sorted(tset.graphs, key=lambda g: g.id)
-    if jobs > 1 and len(graphs) > 1:
-        from concurrent.futures import ProcessPoolExecutor  # slow to import: only a pool needs it
-        # fork starts every worker at the first submit: start none to idle
-        workers = min(jobs, len(graphs))
+    n = max(1, min(jobs, len(graphs))) if hasattr(os, "fork") else 1
+    shares = _balanced_shares(graphs, n)
+
+    def induce(share: list[int]) -> list[tuple[int, list[InducedPair], TransgraphReport]]:
+        return [_induce_one(graphs[i], descriptor, hp) for i in share]
+
+    children: list[tuple[int, BinaryIO]] = []  # (pid, read end of its pipe)
+    if n > 1:
+        import pickle  # only a run that forks needs these
+        import signal
+
         # a collection walks every object it tracks and writes to each, so
-        # forked workers would copy the pages they share with this process;
-        # frozen objects are not walked, here or in the workers
+        # children would copy the pages they share with this process;
+        # frozen objects are not walked, here or in the children
         gc.freeze()
-        try:
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_share,
-                initargs=(graphs, descriptor, hp),
-            ) as executor:
-                outputs = [
-                    out
-                    for chunk in executor.map(_induce_chunk, _largest_first(graphs, workers))
-                    for out in chunk
-                ]
-        finally:
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(r)
+                    try:
+                        payload = pickle.dumps((True, induce(share)))
+                    except Exception as exc:  # raised again in the parent
+                        payload = pickle.dumps((False, exc))
+                    with open(w, "wb") as f:
+                        f.write(payload)
+                    status = 0
+                finally:
+                    os._exit(status)
+            children.append((pid, open(r, "rb")))
+            os.close(w)
+        outputs = induce(shares[0])
+        for pid, f in children:
+            with f:  # read to EOF before reaping: a child blocks on a full pipe
+                payload = f.read()
+            if not payload:
+                raise RuntimeError(f"induction worker {pid} exited without a result")
+            ok, value = pickle.loads(payload)
+            if not ok:
+                raise value
+            outputs += value
+    finally:
+        for pid, f in children:
+            if not f.closed:  # its result was not read: end it
+                f.close()
+                os.kill(pid, signal.SIGKILL)
+        for pid, _ in children:
+            os.waitpid(pid, 0)
+        if n > 1:
             gc.unfreeze()
-    else:
-        outputs = [_induce_one(g, descriptor, hp) for g in graphs]
     pairs: list[InducedPair] = []
     reports: dict[int, TransgraphReport] = {}
     for tg_id, ps, report in sorted(outputs, key=lambda o: o[0]):

@@ -78,29 +78,6 @@ class ComponentStats(NamedTuple):
     edge_count: int
 
 
-class UnionFind:
-    """Forest over hashable keys with path compression."""
-
-    def __init__(self):
-        self.parent: dict = {}
-
-    def find(self, k):
-        if k not in self.parent:
-            self.parent[k] = k
-        root = k
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[k] != root:
-            self.parent[k], k = root, self.parent[k]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-        return ra
-
-
 def build_transgraphs(
     dict_ab: BilingualDictionary, dict_cb: BilingualDictionary
 ) -> TransgraphSet:
@@ -121,22 +98,36 @@ def build_transgraphs(
         raise ValueError("the two non-pivot languages must differ")
     lang_a, lang_b, lang_c = dict_ab.source, dict_ab.target, dict_cb.source
 
-    keys = [(SIDE_AB, a, b) for a, b in sorted(dict_ab.entries)]
-    keys += [(SIDE_BC, c, b) for c, b in sorted(dict_cb.entries)]
-
-    uf = UnionFind()
-    for _, non_pivot, pivot in keys:
-        uf.union(non_pivot, pivot)
-
-    # keys is in key order, so each component's keys are too
-    by_root: dict[Word, list[EdgeKey]] = {}
+    # word -> (its component's words, the component's edge keys); a merge
+    # moves the smaller component into the larger, so a word moves at most
+    # log2(words) times
+    comp: dict[Word, tuple[list[Word], list[EdgeKey]]] = {}
+    keys = [(SIDE_AB, a, b) for a, b in dict_ab.entries]
+    keys += [(SIDE_BC, c, b) for c, b in dict_cb.entries]
     for key in keys:
-        by_root.setdefault(uf.find(key[1]), []).append(key)
+        _, non_pivot, pivot = key
+        here, there = comp.get(non_pivot), comp.get(pivot)
+        if here is None:
+            if there is None:
+                there = comp[pivot] = ([pivot], [])
+            there[0].append(non_pivot)
+            here = comp[non_pivot] = there
+        elif there is None:
+            here[0].append(pivot)
+            comp[pivot] = here
+        elif here is not there:
+            if len(here[0]) < len(there[0]):
+                here, there = there, here
+            here[0].extend(there[0])
+            here[1].extend(there[1])
+            for word in there[0]:
+                comp[word] = here
+        here[1].append(key)
 
-    components = sorted(by_root.values(), key=lambda ks: min(min(k[1:]) for k in ks))
+    components = sorted({id(c): c for c in comp.values()}.values(), key=lambda c: min(c[0]))
     graphs = [
-        Transgraph(cid, dict.fromkeys(comp_keys, 1.0))
-        for cid, comp_keys in enumerate(components)
+        Transgraph(cid, dict.fromkeys(sorted(comp_keys), 1.0))
+        for cid, (_, comp_keys) in enumerate(components)
     ]
     return TransgraphSet(lang_a, lang_b, lang_c, graphs)
 

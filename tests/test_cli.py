@@ -98,8 +98,8 @@ class TestInduce:
 
     @pytest.mark.parametrize("start_method", multiprocessing.get_all_start_methods())
     def test_jobs_bit_identical_under_every_start_method(self, tmp_path, start_method):
-        # workers inherit the graphs under fork and unpickle them otherwise;
-        # a fresh interpreter sets the start method before the pool exists
+        # children are forked directly, whatever start method is set; a
+        # fresh interpreter sets it before anything forks
         rng = random.Random(5)
         ab, cb = [], []
         for g in range(12):
@@ -134,8 +134,33 @@ class TestInduce:
         assert (pooled.returncode, pooled.stderr) == (main(induce("1")), "")
         for name in ("out{}.tsv", "report{}.txt"):
             assert (tmp_path / name.format(2)).read_bytes() == (tmp_path / name.format(1)).read_bytes()
-        # the pool runs only with more than one graph
+        # a run forks only with more than one graph
         assert (tmp_path / "report1.txt").read_text(encoding="utf-8").count("transgraph ") > 2
+
+    def test_forked_run_imports_no_pool(self, workdir):
+        code = (
+            "import sys\n"
+            "from pivotlex.cli import main\n"
+            "status = main(sys.argv[1:])\n"
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))\n"
+            "sys.exit(status)\n"
+        )
+        report = workdir / "report.txt"
+        argv = [
+            "induce", *dict_flags(workdir),
+            "--method", "2:S:H14",
+            "--jobs", "2",
+            "-o", str(workdir / "out.tsv"),
+            "--report", str(report),
+        ]
+        src = os.path.dirname(os.path.dirname(pivotlex.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True
+        )
+        assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
+        # two transgraphs, so the run forked a child
+        assert report.read_text(encoding="utf-8").count("transgraph ") == 2
 
     @pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "cpu_count"])
     def test_default_jobs_is_usable_cpus(self, workdir, monkeypatch, affinity):
@@ -441,6 +466,16 @@ def test_malformed_gold_is_data_error_naming_the_file(workdir, capsys, command):
     assert main(SCORING_COMMANDS[command](workdir)) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {gold}: {FIELDS_2_GOT_1}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", sorted(SCORING_COMMANDS))
+def test_empty_gold_is_data_error_naming_the_file(workdir, capsys, command):
+    gold = workdir / "gold.tsv"
+    gold.write_text("", encoding="utf-8")
+    assert main(SCORING_COMMANDS[command](workdir)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {gold}: gold standard is empty\n"
     assert captured.out == ""
 
 

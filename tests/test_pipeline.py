@@ -1,8 +1,6 @@
 import collections
-import concurrent.futures
-import functools
 import itertools
-import multiprocessing
+import os
 import random
 
 import pytest
@@ -58,38 +56,6 @@ def skewed_dictionaries():
         ab += [(f"sa{k}_{i}", f"sb{k}") for i in range(1 + k % 2)]
         cb += [(f"sc{k}_{i}", f"sb{k}") for i in range(1 + k % 3)]
     return dict_ab(*ab), dict_cb(*cb)
-
-
-@pytest.fixture
-def serial_pool(monkeypatch):
-    """Replace the worker pool with one that runs in this process.
-
-    It records the worker counts asked for and every task mapped.
-    """
-
-    class SerialExecutor:
-        asked: list[int] = []
-        tasks: list = []
-
-        def __init__(self, max_workers, initializer=None, initargs=()):
-            self.asked.append(max_workers)
-            if initializer is not None:
-                initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize=1):
-            tasks = list(tasks)
-            self.tasks.extend(tasks)
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialExecutor)
-    monkeypatch.setattr(pipeline, "_shared", None)
-    return SerialExecutor
 
 
 class TestParseMethod:
@@ -550,7 +516,7 @@ class TestRunPipeline:
 
     def test_jobs_do_not_change_output_on_skewed_input(self):
         # one big component and many one-pivot ones: largest-first dealing
-        # sends the last graph out first
+        # puts the last graph in the calling process's share
         tset = build_transgraphs(*skewed_dictionaries())
         assert max(tset.graphs, key=lambda g: len(g.edges)).id == len(tset.graphs) - 1
         method = parse_method("2:S:H14")
@@ -561,39 +527,62 @@ class TestRunPipeline:
             ]
             assert res.reports == runs[0].reports
 
-    def test_workers_capped_at_transgraph_count(self, serial_pool):
+    def test_shares_capped_at_transgraph_count(self, monkeypatch):
+        asked = []
+
+        def recording(graphs, n):
+            asked.append(n)
+            return balanced(graphs, n)
+
+        balanced = pipeline._balanced_shares
+        monkeypatch.setattr(pipeline, "_balanced_shares", recording)
         tset = build_transgraphs(
             dict_ab(("a1", "b1"), ("a2", "b2")), dict_cb(("c1", "b1"), ("c2", "b2"))
         )
         assert len(tset.graphs) == 2
         res = induce_on_transgraphs(tset, parse_method("1:C:H1"), jobs=8)
-        assert serial_pool.asked == [2]
+        assert asked == [2]
         assert len(res.pairs) == 2
 
-    def test_workers_get_graph_indices_largest_first(self, serial_pool):
-        tset = build_transgraphs(*skewed_dictionaries())
-        serial = induce_on_transgraphs(tset, parse_method("1:S:H14"))
-        res = induce_on_transgraphs(tset, parse_method("1:S:H14"), jobs=2)
-        assert res.pairs == serial.pairs and res.reports == serial.reports
-        tasks = serial_pool.tasks
-        assert all(
-            isinstance(task, tuple) and task and all(type(i) is int for i in task)
-            for task in tasks
-        )
-        assert sorted(i for task in tasks for i in task) == list(range(len(tset.graphs)))
-        largest = max(range(len(tset.graphs)), key=lambda i: len(tset.graphs[i].edges))
-        assert largest in tasks[0]
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 151])
+    def test_balanced_shares(self, n):
+        graphs = build_transgraphs(*skewed_dictionaries()).graphs
+        assert len(graphs) == 151
+        shares = pipeline._balanced_shares(graphs, n)
+        assert len(shares) == n and all(shares)
+        assert sorted(i for share in shares for i in share) == list(range(len(graphs)))
+        sizes = [len(g.edges) for g in graphs]
+        assert sizes.index(max(sizes)) in shares[0]
+        # each graph goes to the lightest share, so no two shares differ by
+        # more than the largest graph
+        loads = [sum(sizes[i] for i in share) for share in shares]
+        assert max(loads) - min(loads) <= max(sizes)
 
-    def test_spawned_workers_get_the_same_graphs(self, monkeypatch):
-        # spawned workers import afresh and unpickle the initializer's graphs
-        spawn = functools.partial(
-            concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")
-        )
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spawn)
+    @pytest.mark.parametrize("raises_in", [None, "parent", "child"])
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_forked_run_returns_or_raises_and_reaps(self, monkeypatch, jobs, raises_in):
         tset = build_transgraphs(*skewed_dictionaries())
-        serial = induce_on_transgraphs(tset, parse_method("1:S:H14"))
-        res = induce_on_transgraphs(tset, parse_method("1:S:H14"), jobs=2)
-        assert res.pairs == serial.pairs and res.reports == serial.reports
+        method = parse_method("1:S:H14")
+        if raises_in is None:
+            serial = induce_on_transgraphs(tset, method)
+            res = induce_on_transgraphs(tset, method, jobs=jobs)
+            assert res.pairs == serial.pairs and res.reports == serial.reports
+        else:
+            # share 0 is the calling process's, share 1 a child's
+            share = pipeline._balanced_shares(tset.graphs, jobs)[raises_in == "child"]
+            bad = tset.graphs[share[-1]].id
+
+            def failing(tg, descriptor):
+                if tg.id == bad:
+                    raise ValueError(f"no cycles for transgraph {tg.id}")
+                return run_cycles(tg, descriptor)
+
+            monkeypatch.setattr(pipeline, "run_cycles", failing)
+            with pytest.raises(ValueError, match=f"^no cycles for transgraph {bad}$"):
+                induce_on_transgraphs(tset, method, jobs=jobs)
+        # every child was reaped
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize(
         "method, reads_spelling",

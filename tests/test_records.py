@@ -130,15 +130,16 @@ def test_sized_records_replace_and_count_entries():
     ids=lambda r: type(r).__name__,
 )
 def test_worker_records_pickle_round_trip(record):
-    # --jobs workers receive the descriptor and thresholds, and send back
-    # pairs and reports, pickled under spawn and forkserver
+    # --jobs children send back pairs and reports pickled; the other
+    # records pickle too, for callers that send them to processes of their own
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         back = pickle.loads(pickle.dumps(record, protocol))
         assert back == record and type(back) is type(record)
 
 
 def test_transgraph_pickle_round_trip():
-    # spawn and forkserver --jobs workers receive their graphs pickled
+    # --jobs children inherit their graphs, but a caller may send graphs
+    # to processes of its own
     graph = Transgraph(3, {("AB", A1, B1): 1.0, ("AB", A2, B1): 0.5, ("BC", C1, B1): 0.25})
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         back = pickle.loads(pickle.dumps(graph, protocol))

@@ -14,7 +14,7 @@ from helpers import (
     wc,
 )
 from pivotlex.heuristics import HeuristicSelection, generate_candidates
-from pivotlex.lexicon import BilingualDictionary
+from pivotlex.lexicon import BilingualDictionary, Word
 from pivotlex.pipeline import parse_method, run_cycles
 from pivotlex.transgraph import (
     MIN_EDGE_PROB,
@@ -23,6 +23,8 @@ from pivotlex.transgraph import (
     component_stats,
     filter_big,
 )
+import transgraph_reference
+from test_golden import chained
 from test_selection import (
     COGNATE_THRESHOLDS,
     DESCRIPTORS,
@@ -95,6 +97,47 @@ class TestBuildTransgraphs:
         assert [(g.id, g.a_words, list(g.edges.items())) for g in t1.graphs] == [
             (g.id, g.a_words, list(g.edges.items())) for g in t2.graphs
         ]
+
+
+TAGS = [("min", "ind", "zlm"), ("zz", "b", "aa")]
+
+
+def _random_links(rng):
+    """Random A-B and C-B links; with shared surfaces, only the tags tell words apart."""
+    n = rng.randint(1, 14)
+    a, b, c = ("w", "w", "w") if rng.random() < 0.5 else ("a", "b", "c")
+
+    def word(prefix):
+        return f"{prefix}{rng.randrange(n)}"
+
+    ab = {(word(a), word(b)) for _ in range(rng.randint(1, 30))}
+    cb = {(word(c), word(b)) for _ in range(rng.randint(1, 30))}
+    return ab, cb
+
+
+@pytest.mark.parametrize("tags", TAGS, ids="/".join)
+def test_build_equals_union_find_reference(tags):
+    lang_a, lang_b, lang_c = tags
+    rng = random.Random(17)
+    links = [(x.ab, x.cb) for x in (chained(1), chained(2, (60,) * 4), chained(3, (7,) * 9))]
+    links += [_random_links(rng) for _ in range(200)]
+    for ab, cb in links:
+        d_ab = BilingualDictionary(
+            lang_a, lang_b, frozenset((Word(lang_a, x), Word(lang_b, y)) for x, y in ab)
+        )
+        d_cb = BilingualDictionary(
+            lang_c, lang_b, frozenset((Word(lang_c, x), Word(lang_b, y)) for x, y in cb)
+        )
+        got = build_transgraphs(d_ab, d_cb)
+        want = transgraph_reference.build_transgraphs(d_ab, d_cb)
+        assert (got.lang_a, got.lang_b, got.lang_c) == (want.lang_a, want.lang_b, want.lang_c)
+        assert [(g.id, list(g.edges.items())) for g in got.graphs] == [
+            (g.id, list(g.edges.items())) for g in want.graphs
+        ]
+        for cap in {1, 2, 5, max(len(g.edges) for g in want.graphs)}:
+            kept, ref = filter_big(got, cap), filter_big(want, cap)
+            assert kept.skipped == ref.skipped
+            assert [g.id for g in kept.graphs] == [g.id for g in ref.graphs]
 
 
 class TestFilterBig:
