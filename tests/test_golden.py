@@ -105,6 +105,11 @@ COMMANDS = {
     "baseline-cp": (["baseline", "cp", *DICTS, "-o", "cp.tsv"], ["cp.tsv"]),
     "baseline-ic": (["baseline", "ic", *DICTS, "-o", "ic.tsv"], ["ic.tsv"]),
     "export-wcnf": (["export-wcnf", *DICTS, "--method", "2:S:H14", "--out-dir", "wcnf"], ["wcnf"]),
+    # method M drops the at-most-one clauses
+    "export-wcnf-1:M:H1": (
+        ["export-wcnf", *DICTS, "--method", "1:M:H1", "--out-dir", "wcnf"],
+        ["wcnf"],
+    ),
 }
 
 CASES = [(name, command) for name in INPUTS for command in COMMANDS]
