@@ -5,7 +5,6 @@ from .evaluation import (
     GridPoint,
     Metrics,
     TTestReport,
-    build_gold,
     cross_validate,
     grid_search,
     paired_t_test,
@@ -68,7 +67,6 @@ __all__ = [
     "TransgraphSet",
     "Word",
     "add_new_edges",
-    "build_gold",
     "build_transgraphs",
     "cartesian_product",
     "component_stats",

@@ -255,7 +255,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_export_wcnf(args) -> int:
-    from .encoding import encode_cognate_cnf, export_wcnf  # only this command needs it
+    from .encoding import write_cognate_wcnf  # only this command needs it
 
     tset = _build_transgraphs(args)
     descriptor = args.method
@@ -275,13 +275,17 @@ def _cmd_export_wcnf(args) -> int:
         cyc = run_cycles(g, descriptor)
         if not cyc.candidates:
             continue
-        cnf = encode_cognate_cnf(
-            cyc.graph, cyc.candidates, uniqueness=descriptor.method != "M"
-        )
-        path = os.path.join(args.out_dir, f"tg{g.id}.wcnf")
-        with _out(path) as f:
-            export_wcnf(cnf, f)
+        with _out(os.path.join(args.out_dir, f"tg{g.id}.wcnf")) as f:
+            write_cognate_wcnf(
+                cyc.graph, cyc.candidates, f, uniqueness=descriptor.method != "M"
+            )
         written += 1
+    if written < len(graphs):
+        print(
+            f"warning: no formula file for {len(graphs) - written}"
+            " transgraph(s) without cognate candidates",
+            file=sys.stderr,
+        )
     sys.stdout.write(f"wrote {written} formula file(s) to {args.out_dir}\n")
     return 0
 

@@ -8,7 +8,6 @@ one sweep (_sweep) of the 0.01 grid's breakpoints serves the search and every fo
 from __future__ import annotations
 
 import math
-import warnings
 from bisect import bisect_right
 from collections import Counter
 from itertools import accumulate
@@ -281,16 +280,6 @@ def paired_t_test(xs: Sequence[float], ys: Sequence[float]) -> TTestReport:
         t = mean_s / (sd_s / math.sqrt(n))
     p = 1.0 - t_cdf(t, n - 1)
     return TTestReport(t, n - 1, p, mean)
-
-
-def build_gold(eval_pairs: PairSet, universe: PairSet) -> PairSet:
-    """Intersect an evaluation pair list with the reachable universe."""
-    if (eval_pairs.lang_a, eval_pairs.lang_c) != (universe.lang_a, universe.lang_c):
-        raise ValueError("pair sets use different language pairs")
-    kept = eval_pairs.pairs & universe.pairs
-    if not kept:
-        warnings.warn("gold standard is empty: no overlap with the universe")
-    return PairSet(eval_pairs.lang_a, eval_pairs.lang_c, frozenset(kept))
 
 
 def metrics_tsv(metrics: Metrics) -> str:

@@ -17,8 +17,8 @@ and every soft weight is at least one micro-unit, so the optimum turns on
 exactly one fresh decision, the one whose still-hypothesized edges weigh
 least, ties going to the decision with the highest variable id, i.e. the
 last pair. Prices are integer micro-units (micro_units), the same ones
-the cognate formula that export-wcnf writes (encoding) uses. The
-synonym formula and an exact solver live with the tests
+the cognate formula that export-wcnf writes (encoding) uses. Both
+stages' replayable formulas and an exact solver live with the tests
 (tests/maxsat_reference.py), as the reference this selection is
 compared with.
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from pivotlex.encoding import CnfFormula, VarRegistry, hard_clause, soft_clause
+from maxsat_reference import CnfFormula, VarRegistry, hard_clause, soft_clause
 from pivotlex.heuristics import HeuristicSelection, generate_candidates
 from pivotlex.lexicon import BilingualDictionary, PairSet, Word
 from pivotlex.pipeline import InductionResult, _synonym_candidates

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from maxsat_reference import SolveOutcome, _validate
-from pivotlex.encoding import CnfFormula
+from maxsat_reference import CnfFormula, SolveOutcome, _validate
 from pivotlex.pipeline import MICRO
 
 BRUTE_FORCE_LIMIT = 25

@@ -21,10 +21,9 @@ from helpers import (
     wb,
     wc,
 )
-from maxsat_reference import parse_wcnf, solve
+from maxsat_reference import encode_cognate_cnf, export_wcnf, parse_wcnf, solve
 from oracle import brute_force_solve
 from scoring_reference import compute_cognate_probabilities, compute_tables
-from pivotlex.encoding import encode_cognate_cnf, export_wcnf
 from pivotlex.evaluation import paired_t_test, score, t_cdf
 from pivotlex.heuristics import HeuristicSelection, generate_candidates
 from pivotlex.lexicon import PairSet

@@ -564,6 +564,25 @@ def test_import_leaves_dataclasses_and_inspect_unloaded(module):
     assert out.stdout.strip() == "[]"
 
 
+def test_export_wcnf_leaves_dataclasses_and_inspect_unloaded(workdir):
+    # the writer uses plain ints and tuples; the clause records stay with the tests
+    code = (
+        "import sys; before = set(sys.modules)\n"
+        "from pivotlex.cli import main\n"
+        "status = main(sys.argv[1:])\n"
+        "print(status, sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    argv = ["export-wcnf", *dict_flags(workdir), "--method", "2:S:H14"]
+    argv += ["--out-dir", str(workdir / "wcnf")]
+    src = os.path.dirname(os.path.dirname(pivotlex.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.splitlines()[-1] == "0 []"
+    assert sorted(os.listdir(workdir / "wcnf")) == ["tg0.wcnf", "tg1.wcnf"]
+
+
 def test_public_api_resolves():
     # a name removed from the package but left in __all__ breaks star imports
     assert [name for name in pivotlex.__all__ if not hasattr(pivotlex, name)] == []
@@ -708,10 +727,32 @@ class TestOtherCommands:
             ]
         )
         assert code == 0
+        assert capsys.readouterr().err == ""
         files = sorted(os.listdir(out_dir))
         assert files == ["tg0.wcnf", "tg1.wcnf"]
         first = (out_dir / "tg0.wcnf").read_text(encoding="utf-8")
         assert first.startswith("p wcnf ")
+
+    def test_export_wcnf_warns_about_graphs_without_candidates(self, workdir, capsys):
+        # a5-b5 is a component with no C-word, so it has no cognate candidate
+        with open(workdir / "ab.tsv", "a", encoding="utf-8") as f:
+            f.write("a5\tb5\n")
+        out_dir = workdir / "wcnf"
+        argv = ["export-wcnf", *dict_flags(workdir), "--method", "1:C:H1"]
+        assert main([*argv, "--out-dir", str(out_dir)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "warning: no formula file for 1 transgraph(s) without cognate candidates\n"
+        )
+        assert captured.out == f"wrote 2 formula file(s) to {out_dir}\n"
+        assert sorted(os.listdir(out_dir)) == ["tg0.wcnf", "tg1.wcnf"]
+
+        assert main([*argv, "--out-dir", str(out_dir), "--transgraph-id", "2"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "warning: no formula file for 1 transgraph(s) without cognate candidates\n"
+        )
+        assert captured.out == f"wrote 0 formula file(s) to {out_dir}\n"
 
     @pytest.mark.parametrize(
         "extra, message",

@@ -1,3 +1,5 @@
+"""The cognate formula export-wcnf writes, and the reference formulas it is checked with."""
+
 import copy
 import io
 import random
@@ -6,21 +8,27 @@ from itertools import combinations
 import pytest
 
 from helpers import ASYM_AB, ASYM_CB, random_dictionaries, single_graph, wa, wb, wc
-from maxsat_reference import encode_synonym_cnf, parse_wcnf, solve
-from pivotlex.encoding import (
+from maxsat_reference import (
     Clause,
     CnfFormula,
     VarRegistry,
     cognate_desc,
     edge_desc,
     encode_cognate_cnf,
+    encode_synonym_cnf,
     export_wcnf,
     hard_clause,
+    parse_wcnf,
     soft_clause,
+    solve,
 )
+from pivotlex.encoding import write_cognate_wcnf
 from pivotlex.heuristics import HeuristicSelection, generate_candidates
-from pivotlex.pipeline import MICRO
-from pivotlex.transgraph import build_transgraphs
+from pivotlex.lexicon import BilingualDictionary, Word
+from pivotlex.pipeline import MICRO, parse_method, run_cycles
+from pivotlex.transgraph import build_transgraphs, filter_big
+from test_golden import chained
+from test_transgraph import TAGS, _random_links
 
 
 def prepared(graph, token="H1"):
@@ -380,3 +388,48 @@ class TestWcnfExport:
         export_wcnf(cnf, s1)
         export_wcnf(parse_wcnf(s1.getvalue()), s2)
         assert s1.getvalue() == s2.getvalue()
+
+
+HEURISTICS = ["H" + "".join(d) for r in range(1, 5) for d in combinations("1234", r)]
+WRITER_DESCRIPTORS = [
+    f"{cycle}:{method}:{h}" for cycle in (1, 2, 3) for method in "CS" for h in HEURISTICS
+] + [f"{cycle}:M:H1" for cycle in (1, 2, 3)]
+
+
+class TestCognateWriter:
+    """write_cognate_wcnf streams the bytes of the reference formula's export."""
+
+    def test_empty_candidates_is_error(self):
+        g = single_graph([("a1", "b1")], [("c1", "b1")])
+        with pytest.raises(ValueError):
+            write_cognate_wcnf(g, [], io.StringIO(), uniqueness=True)
+
+    @pytest.mark.parametrize("tags", TAGS, ids="/".join)
+    def test_bytes_match_reference_export(self, tags):
+        lang_a, lang_b, lang_c = tags
+        rng = random.Random(29)
+        links = [(x.ab, x.cb) for x in (chained(1, (5, 10)), chained(2, (7,) * 3))]
+        links += [_random_links(rng) for _ in range(20)]
+        graphs = []
+        for ab, cb in links:
+            d_ab = BilingualDictionary(
+                lang_a, lang_b, frozenset((Word(lang_a, x), Word(lang_b, y)) for x, y in ab)
+            )
+            d_cb = BilingualDictionary(
+                lang_c, lang_b, frozenset((Word(lang_c, x), Word(lang_b, y)) for x, y in cb)
+            )
+            graphs += filter_big(build_transgraphs(d_ab, d_cb), 100).graphs
+        seen = set()
+        # each descriptor takes every sixth graph, a different sixth for the next
+        for i, desc in enumerate(WRITER_DESCRIPTORS):
+            for g in graphs[i % 6 :: 6]:
+                cyc = run_cycles(g, parse_method(desc))
+                if not cyc.candidates:
+                    continue
+                for uniqueness in (True, False):
+                    sink = io.StringIO()
+                    write_cognate_wcnf(cyc.graph, cyc.candidates, sink, uniqueness=uniqueness)
+                    cnf = encode_cognate_cnf(cyc.graph, cyc.candidates, uniqueness=uniqueness)
+                    assert sink.getvalue() == wcnf_text(cnf), (desc, g.id, uniqueness)
+                seen.add(desc)
+        assert seen == set(WRITER_DESCRIPTORS)

@@ -5,7 +5,6 @@ import pytest
 
 from helpers import LANG_A, LANG_C, dict_ab, dict_cb, wa, wc
 from pivotlex.evaluation import (
-    build_gold,
     cross_validate,
     format_aligned,
     grid_search,
@@ -287,24 +286,6 @@ class TestTCdf:
                     got, want = t_cdf(signed, df), float(student_t.cdf(signed, df))
                     assert got == pytest.approx(want, abs=1e-9), (signed, df)
                     assert 0.0 <= got <= 1.0, (signed, df)
-
-
-class TestBuildGold:
-    def test_intersection(self):
-        universe = pair_set(("a", "x"), ("b", "y"), ("c", "z"))
-        evals = pair_set(("a", "x"), ("b", "y"), ("q", "q"))
-        gold = build_gold(evals, universe)
-        assert gold.pairs == pair_set(("a", "x"), ("b", "y")).pairs
-
-    def test_disjoint_warns(self):
-        with pytest.warns(UserWarning):
-            gold = build_gold(pair_set(("a", "x")), pair_set(("b", "y")))
-        assert len(gold) == 0
-
-    def test_superset_returns_universe(self):
-        universe = pair_set(("a", "x"))
-        evals = pair_set(("a", "x"), ("b", "y"))
-        assert build_gold(evals, universe).pairs == universe.pairs
 
 
 class TestFormatting:

@@ -471,8 +471,12 @@ class TestRunPipeline:
     def test_each_acceptance_cost_verifiable(self):
         # replaying the cognate stage move by move, every optimum's cost
         # survives an independent assignment check
-        from maxsat_reference import check_assignment, solve
-        from pivotlex.encoding import cognate_desc, encode_cognate_cnf
+        from maxsat_reference import (
+            check_assignment,
+            cognate_desc,
+            encode_cognate_cnf,
+            solve,
+        )
 
         rng = random.Random(23)
         d_ab, d_cb = random_dictionaries(rng)

@@ -13,8 +13,13 @@ import random
 import pytest
 
 from helpers import random_dictionaries
-from maxsat_reference import encode_synonym_cnf, solve, synonym_desc
-from pivotlex.encoding import cognate_desc, encode_cognate_cnf
+from maxsat_reference import (
+    cognate_desc,
+    encode_cognate_cnf,
+    encode_synonym_cnf,
+    solve,
+    synonym_desc,
+)
 from pivotlex.heuristics import SynonymCandidate
 from pivotlex.pipeline import (
     COGNATE,

@@ -3,9 +3,16 @@ import random
 import pytest
 
 from helpers import random_formula
-from maxsat_reference import HardViolation, check_assignment, solve
+from maxsat_reference import (
+    CnfFormula,
+    HardViolation,
+    VarRegistry,
+    check_assignment,
+    hard_clause,
+    soft_clause,
+    solve,
+)
 from oracle import BRUTE_FORCE_LIMIT, brute_force_solve
-from pivotlex.encoding import CnfFormula, VarRegistry, hard_clause, soft_clause
 
 
 def formula(nvars, hard=(), soft=()):
