@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import stat
 import sys
 
 from . import baselines, evaluation, polysemy
@@ -133,8 +134,35 @@ def _build_transgraphs(args):
     return tset
 
 
-def _out(path: str):
-    return open(path, "w", encoding="utf-8", newline="")
+def _keep_blocks(path: str, flags: int) -> int:
+    """An `open` opener: the flags Python chose, less O_TRUNC."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+class _out:
+    """`with _out(path) as f`: UTF-8 text written over the file at `path` in place.
+
+    An existing file is not truncated on open but cut to the written length
+    on close, also when the block raises, so a rerun that writes as many
+    bytes frees no blocks; freeing a written file's blocks can block for
+    tens of milliseconds (ext4 mounted with `discard`). A device or pipe is
+    not cut.
+    """
+
+    def __init__(self, path: str):
+        self.file = open(path, "w", encoding="utf-8", newline="", opener=_keep_blocks)
+
+    def __enter__(self):
+        return self.file
+
+    def __exit__(self, *exc_info) -> None:
+        with self.file as f:  # closed on every path
+            try:
+                f.flush()
+            finally:
+                fd = f.fileno()
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
 
 
 def _cmd_induce(args) -> int:

@@ -625,6 +625,120 @@ def test_no_command_needs_numpy_or_scipy(workdir):
     assert codes == [0] * len(commands), [c[0] for c, rc in zip(commands, codes) if rc]
 
 
+# command -> (argv given the input and output directories, files it writes there)
+WRITERS = {
+    "induce": (
+        lambda d, o: [
+            "induce", *dict_flags(d), "--method", "2:S:H14", "--jobs", "1",
+            "-o", str(o / "out.tsv"), "--report", str(o / "report.txt"),
+        ],
+        ["out.tsv", "report.txt"],
+    ),
+    "baseline-cp": (
+        lambda d, o: ["baseline", "cp", *dict_flags(d), "-o", str(o / "cp.tsv")],
+        ["cp.tsv"],
+    ),
+    "baseline-ic": (
+        lambda d, o: ["baseline", "ic", *dict_flags(d), "-o", str(o / "ic.tsv")],
+        ["ic.tsv"],
+    ),
+    "polysemy": (
+        lambda d, o: ["polysemy", "--n-max", "3", "-o", str(o / "sweep.csv")],
+        ["sweep.csv"],
+    ),
+    "export-wcnf": (
+        lambda d, o: ["export-wcnf", *dict_flags(d), "--method", "1:C:H1", "--out-dir", str(o)],
+        ["tg0.wcnf", "tg1.wcnf"],
+    ),
+}
+
+
+class TestOutputFiles:
+    """Outputs are rewritten in place and cut to the written length."""
+
+    @pytest.mark.parametrize(
+        "old_size",
+        [lambda n: n + 4096, lambda n: n, lambda n: n // 2],
+        ids=["longer", "same", "shorter"],
+    )
+    @pytest.mark.parametrize("command", WRITERS)
+    def test_rerun_over_old_file_gives_exactly_the_new_bytes(self, workdir, command, old_size):
+        argv, written = WRITERS[command]
+        fresh, reused = workdir / "fresh", workdir / "reused"
+        fresh.mkdir()
+        reused.mkdir()
+        assert main(argv(workdir, fresh)) == 0
+        want = {name: (fresh / name).read_bytes() for name in written}
+        for name, data in want.items():
+            (reused / name).write_bytes(b"\xff" * old_size(len(data)))
+        assert main(argv(workdir, reused)) == 0
+        assert {name: (reused / name).read_bytes() for name in written} == want
+
+    def test_new_file_gets_the_permissions_of_a_plain_open(self, workdir):
+        out = workdir / "out.tsv"
+        assert main(["induce", *dict_flags(workdir), "--method", "1:C:H1", "-o", str(out)]) == 0
+        with open(workdir / "plain.tsv", "w"):
+            pass
+        assert out.stat().st_mode == (workdir / "plain.tsv").stat().st_mode
+
+    def test_induce_to_devnull(self, workdir, capsys):
+        argv = ["induce", *dict_flags(workdir), "--method", "2:S:H14"]
+        assert main([*argv, "-o", os.devnull, "--report", os.devnull]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_symlink_writes_its_target_and_stays(self, workdir):
+        target, link = workdir / "target.tsv", workdir / "link.tsv"
+        target.write_bytes(b"\xff" * 4096)
+        link.symlink_to(target)
+        argv = ["induce", *dict_flags(workdir), "--method", "1:C:H1"]
+        assert main([*argv, "-o", str(link)]) == 0
+        assert main([*argv, "-o", str(workdir / "plain.tsv")]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == (workdir / "plain.tsv").read_bytes()
+
+    def test_directory_is_data_error(self, workdir, capsys):
+        argv = ["induce", *dict_flags(workdir), "--method", "1:C:H1"]
+        assert main([*argv, "-o", str(workdir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_failed_write_leaves_only_what_was_written(self, workdir, capsys, monkeypatch):
+        def write_then_fail(pairs, f):
+            f.write("a1\tc1\tcognate\t0.000000\n")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "write_result_pairs", write_then_fail)
+        out = workdir / "out.tsv"
+        out.write_bytes(b"\xff" * 4096)
+        assert main(["induce", *dict_flags(workdir), "--method", "1:C:H1", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        assert out.read_bytes() == b"a1\tc1\tcognate\t0.000000\n"
+
+    def test_failed_flush_still_cuts_the_old_tail(self, workdir, capsys):
+        # under a 64-byte file-size limit, the flush on close fails with EFBIG
+        # after the first 64 bytes
+        resource = pytest.importorskip("resource")
+        out = workdir / "sweep.csv"
+        assert main(["polysemy", "--n-max", "3", "-o", str(out)]) == 0
+        want = out.read_bytes()
+        assert len(want) > 64
+        out.write_bytes(b"\xff" * 4096)
+        code = (
+            "import resource, sys\n"
+            "from pivotlex.cli import main\n"
+            f"resource.setrlimit(resource.RLIMIT_FSIZE, (64, {resource.RLIM_INFINITY}))\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(pivotlex.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", code, "polysemy", "--n-max", "3", "-o", str(out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert (run.returncode, run.stderr) == (2, "error: [Errno 27] File too large\n")
+        assert out.read_bytes() == want[:64]
+
+
 class TestOtherCommands:
     def test_polysemy_csv(self, workdir, capsys):
         out = workdir / "sweep.csv"

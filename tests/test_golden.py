@@ -136,24 +136,52 @@ def write_inputs(directory: str) -> None:
         gen.write_inputs(make(), os.path.join(directory, name))
 
 
-def run_case(directory: str, name: str, command: str) -> dict[str, str]:
-    """Run one command on one input; returns each output's digest by name."""
-    argv, written = COMMANDS[command]
-    extra = INPUTS[name][1]
-    workdir = os.path.join(directory, name, command)
-    os.makedirs(workdir)
+def _spoil(path: str) -> None:
+    """Overwrite the file, or each file in the directory, with longer junk.
+
+    The junk is written over the old bytes without truncating the file, so
+    a rerun's cut frees only blocks the filesystem has not yet allocated.
+    """
+    if os.path.isdir(path):
+        for name in os.listdir(path):
+            _spoil(os.path.join(path, name))
+        return
+    with open(path, "r+b") as f:
+        f.write(b"\xff" * (os.path.getsize(path) + 4096))
+
+
+def _run(workdir: str, argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            status = cli_main(argv + extra)
+            status = cli_main(argv)
     finally:
         os.chdir(cwd)
+    return status, out.getvalue(), err.getvalue()
+
+
+def run_case(directory: str, name: str, command: str, rerun: bool = False) -> dict[str, str]:
+    """Run one command on one input; returns each output's digest by name.
+
+    With `rerun`, the command runs once in a working directory of its own,
+    every file it wrote is overwritten with junk longer than the file, and
+    the digests are those of a second run in the same directory.
+    """
+    argv, written = COMMANDS[command]
+    argv = argv + INPUTS[name][1]
+    workdir = os.path.join(directory, name, command + ("-rerun" if rerun else ""))
+    os.makedirs(workdir)
+    if rerun:
+        _run(workdir, argv)
+        for path in written:
+            _spoil(os.path.join(workdir, path))
+    status, out, err = _run(workdir, argv)
     digests = {
         "exit": str(status),
-        "stdout": _sha(out.getvalue().encode()),
-        "stderr": _sha(err.getvalue().encode()),
+        "stdout": _sha(out.encode()),
+        "stderr": _sha(err.encode()),
     }
     for path in written:
         digests[path] = _file_digest(os.path.join(workdir, path))
@@ -190,6 +218,16 @@ def test_table_covers_every_case(golden):
 @pytest.mark.parametrize("name, command", CASES, ids=[f"{n}/{c}" for n, c in CASES])
 def test_output_bytes_match_golden(inputs, golden, name, command):
     assert run_case(inputs, name, command) == golden[(name, command)]
+
+
+WRITING_CASES = [(name, command) for name, command in CASES if COMMANDS[command][1]]
+
+
+@pytest.mark.parametrize(
+    "name, command", WRITING_CASES, ids=[f"{n}/{c}" for n, c in WRITING_CASES]
+)
+def test_rerun_over_longer_junk_matches_golden(inputs, golden, name, command):
+    assert run_case(inputs, name, command, rerun=True) == golden[(name, command)]
 
 
 if __name__ == "__main__":
