@@ -1,7 +1,7 @@
 """Scoring against a gold standard, threshold search, cross-validation,
 and the paired comparison test.
 
-grid_search and cross_validate build one pipeline.StageRuns per transgraph once;
+grid_search and cross_validate turn each transgraph in turn into tally steps (_graph_steps);
 one sweep (_sweep) of the 0.01 grid's breakpoints serves the search and every fold.
 """
 
@@ -10,11 +10,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import Counter
+from functools import partial
 from itertools import accumulate
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
+from . import pipeline
 from .lexicon import PairSet
-from .pipeline import InducedPair, MethodDescriptor, StageRuns
+from .pipeline import InducedPair, MethodDescriptor
 from .transgraph import Transgraph, TransgraphSet
 
 
@@ -58,45 +60,67 @@ def _entries(accepted: Sequence[InducedPair], grid: Sequence[float]) -> list[int
     return list(accumulate((bisect_right(grid, p.cost) for p in accepted), max))
 
 
+Steps = list[tuple[int, Counter]]  # (row, (column, in gold) -> pairs kept there)
+_SYNONYM_GRID = [i / 100 for i in range(101)]
+
+
+def _tally_steps(
+    cognates: tuple[InducedPair, ...], synonyms_after: Callable | None, gold: PairSet
+) -> Steps:
+    """At row 0 and each 0.01-grid row where the prefix of an unthresholded
+    cognate run grows, the pairs a run there keeps at synonym threshold 1.0,
+    by the column each enters at. synonyms_after(prefix) is the unthresholded
+    synonym run after a prefix (None: no synonym stage). A grid reaching the
+    costliest cognate gives every row its global index.
+    """
+    top = max((p.cost for p in cognates), default=0.0)
+    rows = _entries(cognates, [i / 100 for i in range(math.ceil(round(top * 100, 6)) + 2)])
+    steps = []
+    for row in sorted({0, *rows}):
+        prefix = cognates[: bisect_right(rows, row)]  # what a run at this row keeps
+        synonyms = synonyms_after(prefix) if synonyms_after else ()
+        cols = [0] * len(prefix) + _entries(synonyms, _SYNONYM_GRID)
+        hits = (p.pair in gold.pairs for p in prefix + synonyms)
+        steps.append((row, Counter((c, hit) for c, hit in zip(cols, hits) if c <= 100)))
+    return steps
+
+
+def _graph_steps(tg: Transgraph, descriptor: MethodDescriptor, gold: PairSet) -> Steps:
+    """_tally_steps of a transgraph's unthresholded stage runs."""
+    cycles = pipeline.run_cycles(tg, descriptor)
+    one_to_one = descriptor.method != "M"
+    cognates = pipeline.run_cognate_stage(cycles.graph, cycles.candidates, one_to_one=one_to_one)
+    synonyms_after = partial(pipeline._synonyms_after, cycles)
+    return _tally_steps(cognates, synonyms_after if descriptor.method == "S" else None, gold)
+
+
 def _sweep(
-    folds: Sequence[Sequence[StageRuns]], gold: PairSet, with_synonyms: bool
+    folds: Sequence[Sequence[Steps]], with_synonyms: bool
 ) -> Iterator[tuple[float, float | None, list[tuple[int, int]]]]:
     """(ct, st, [(pairs, gold pairs) per fold]) at the breakpoints of the 0.01 grid.
 
-    Each fold holds one StageRuns per transgraph. The cognate axis runs past
-    the costliest unthresholded acceptance, the synonym axis (0..1 or None)
-    varies fastest. A point's tallies are those of the prefixes the StageRuns
-    cut there, so they change only on a row where a cognate prefix grows and,
-    in it, a column where a synonym prefix grows. Only those points and each
-    row's first are yielded; every other repeats an earlier one, so a first
-    maximum is always yielded. tests/grid_reference.py sweeps every point.
+    Each fold holds the Steps of each of its transgraphs; the synonym axis
+    (0..1 or None) varies fastest. Tallies change only on a row where some
+    transgraph steps and, in it, a column where a synonym prefix grows. Only
+    those points and each row's first are yielded; every other repeats an
+    earlier one, so a first maximum is always yielded. tests/grid_reference.py sweeps every point.
     """
-    runs = [(f, run) for f, fold in enumerate(folds) for run in fold]
-    top = max((p.cost for _, r in runs for p in r.pairs(None, None)), default=0.0)
-    cognate_grid = [i / 100 for i in range(math.ceil(round(top * 100, 6)) + 2)]
-    synonym_grid = [i / 100 for i in range(101)] if with_synonyms else [None]
-    grows = {0.0: set(range(len(runs)))}  # ct -> graphs whose cognate prefix grows there
-    for g, (_, run) in enumerate(runs):
-        for row in _entries(run.cognates, cognate_grid):
-            grows.setdefault(cognate_grid[row], set()).add(g)
-    shares = [Counter() for _ in runs]  # (column, fold, in gold) -> pairs entering there
-    steps = Counter()  # the sum of the shares
-    for ct in sorted(grows):
-        for g in grows[ct]:
-            f, run = runs[g]
-            cognates, synonyms = run.stages(ct, synonym_grid[-1])  # what the largest st keeps
-            cols = [0] * len(cognates) + _entries(synonyms, synonym_grid)
-            pairs = cognates + synonyms
-            share = Counter((col, f, p.pair in gold.pairs) for col, p in zip(cols, pairs))
-            steps.subtract(shares[g])
-            steps.update(share)
-            shares[g] = share
+    changes = {0: []}  # row -> [(fold, share before, share)] of the transgraphs stepping there
+    for f, fold in enumerate(folds):
+        for steps in fold:
+            for (_, before), (row, share) in zip([(0, Counter())] + steps, steps):
+                changes.setdefault(row, []).append((f, before, share))
+    totals = [Counter() for _ in folds]  # per fold, the shares at the current row
+    for row in sorted(changes):
+        for f, before, share in changes[row]:
+            totals[f].subtract(before)
+            totals[f].update(share)
         sizes, hits = [0] * len(folds), [0] * len(folds)
-        for col in sorted({col for col, _, _ in +steps} | {0}):
-            for f in range(len(folds)):
-                hits[f] += steps[col, f, True]
-                sizes[f] += steps[col, f, False] + steps[col, f, True]
-            yield ct, synonym_grid[col], list(zip(sizes, hits))
+        for col in sorted({col for t in totals for col, _ in +t} | {0}):
+            for f, t in enumerate(totals):
+                hits[f] += t[col, True]
+                sizes[f] += t[col, False] + t[col, True]
+            yield row / 100, col / 100 if with_synonyms else None, list(zip(sizes, hits))
 
 
 def grid_search(
@@ -108,16 +132,16 @@ def grid_search(
     """Pick the thresholds maximizing F on a 0.01 grid (ties: smallest).
 
     The metrics are those of a run at the chosen thresholds: one sweep over
-    one pipeline.StageRuns per transgraph scores the grid's breakpoints
-    (_sweep) without a run per point, running the synonym stage of method S
-    once per distinct cognate prefix.
+    each transgraph's tally steps scores the grid's breakpoints (_sweep)
+    without a run per point, running the synonym stage of method S once per
+    distinct cognate prefix and dropping each graph once its steps exist.
     """
     # fail on the inputs score rejects, before any work
     score(PairSet(tset.lang_a, tset.lang_c, frozenset()), gold, beta)
-    runs = [StageRuns(g, descriptor) for g in sorted(tset.graphs, key=lambda g: g.id)]
+    steps = [_graph_steps(g, descriptor, gold) for g in sorted(tset.graphs, key=lambda g: g.id)]
     points = (
         GridPoint(ct, st, _metrics(hits, size, len(gold.pairs), beta))
-        for ct, st, ((size, hits),) in _sweep([runs], gold, descriptor.method == "S")
+        for ct, st, ((size, hits),) in _sweep([steps], descriptor.method == "S")
     )
     return max(points, key=lambda p: p.metrics.f_score)  # the first of equal maxima
 
@@ -175,9 +199,10 @@ def cross_validate(
     """Tune thresholds on k-1 folds of transgraphs, test on the held-out one.
 
     Each fold gets what grid_search on its training transgraphs and a run
-    of its test ones at the pick would score, from one _sweep for all
-    folds: a transgraph's pair is in any restricted gold exactly when it is
-    in `gold`, a fold's training tallies are all folds' minus its own, and
+    of its test ones at the pick would score, from one _sweep of every
+    transgraph's tally steps, each graph dropped once its steps exist: a
+    transgraph's pair is in any restricted gold exactly when it is in
+    `gold`, a fold's training tallies are all folds' minus its own, and
     points past its training grid repeat that grid's last metrics.
     """
     plan = make_fold_plan([g.id for g in tset.graphs], k)
@@ -194,10 +219,10 @@ def cross_validate(
                     f"fold {i} (test transgraphs {test_ids[0]}-{test_ids[-1]}):"
                     f" no gold pair in its {part} transgraphs"
                 )
-    folds = [[StageRuns(by_id[t], descriptor) for t in fold] for fold in plan.folds]
+    folds = [[_graph_steps(by_id[t], descriptor, gold) for t in fold] for fold in plan.folds]
     # per fold: the first training F-maximum and the test tallies there
     best: list[tuple[GridPoint, tuple[int, int]] | None] = [None] * k
-    for ct, st, tallies in _sweep(folds, gold, descriptor.method == "S"):
+    for ct, st, tallies in _sweep(folds, descriptor.method == "S"):
         size, hits = map(sum, zip(*tallies))
         for i, (test_size, test_hits) in enumerate(tallies):
             train = _metrics(hits - test_hits, size - test_size, gold_sizes[i, "training"], beta)

@@ -34,11 +34,10 @@ cognates: each of those leaves all of its missing edges existing, and its
 pivots anchor the synonym search. A stage run at threshold t
 would make the same picks as an unthresholded one and stop at the first
 pick costing >= t: it keeps a prefix of the unthresholded acceptances,
-along which costs need not rise. So each command builds one
-unthresholded run per transgraph (StageRuns) once and cuts prefixes
-(_cut) from it: induce at its thresholds, grid-search and every cv fold
-in one threshold sweep (evaluation._sweep) of the thresholds where some
-prefix grows.
+along which costs need not rise. So induce cuts (_cut) the unthresholded
+runs, the synonym one anchored on the kept cognates (_synonyms_after), and
+grid-search and cv tally each transgraph's runs at every threshold where its
+cognate prefix grows (evaluation._graph_steps), then drop the graph.
 
 With jobs > 1, induce_on_transgraphs splits the graphs into
 min(jobs, graphs) shares of about equal edge count (_balanced_shares),
@@ -350,56 +349,31 @@ def _cut(pairs: tuple[InducedPair, ...], threshold: float | None) -> tuple[Induc
     return pairs[:k]
 
 
-class StageRuns:
-    """One transgraph's unthresholded stage runs; a run at any thresholds follows.
-
-    The synonym stage (method S only) runs once per cognate prefix in use,
-    anchored on the cycle candidates whose pairs that prefix accepted.
-    """
-
-    def __init__(self, tg: Transgraph, descriptor: MethodDescriptor):
-        self.cycles = run_cycles(tg, descriptor)
-        self.cognates = run_cognate_stage(
-            self.cycles.graph, self.cycles.candidates, one_to_one=descriptor.method != "M"
-        )
-        self.with_synonyms = descriptor.method == "S"
-        self._synonyms: dict[int, tuple[InducedPair, ...]] = {}  # by cognate prefix length
-
-    def stages(
-        self, ct: float | None, st: float | None
-    ) -> tuple[tuple[InducedPair, ...], tuple[InducedPair, ...]]:
-        """The cognate and synonym pairs of a run at thresholds (ct, st)."""
-        cognates = _cut(self.cognates, ct)
-        if not self.with_synonyms:
-            return cognates, ()
-        k = len(cognates)
-        if k not in self._synonyms:
-            kept = set(map(_pair, cognates))
-            anchors = [c for c in self.cycles.candidates if _pair(c) in kept]
-            self._synonyms[k] = run_synonym_stage(self.cycles.graph, anchors)
-        return cognates, _cut(self._synonyms[k], st)
-
-    def pairs(self, ct: float | None, st: float | None) -> tuple[InducedPair, ...]:
-        """The pairs a run at thresholds (ct, st) accepts, in order."""
-        cognates, synonyms = self.stages(ct, st)
-        return cognates + synonyms
+def _synonyms_after(cycles: CycleResult, prefix: Sequence[InducedPair]) -> tuple[InducedPair, ...]:
+    """The unthresholded synonym run anchored on the candidates behind a cognate prefix."""
+    kept = set(map(_pair, prefix))
+    anchors = [c for c in cycles.candidates if _pair(c) in kept]
+    return run_synonym_stage(cycles.graph, anchors)
 
 
 def _induce_one(
     tg: Transgraph, descriptor: MethodDescriptor, hp: HyperParams
 ) -> tuple[int, list[InducedPair], TransgraphReport]:
-    runs = StageRuns(tg, descriptor)
-    cognates, synonyms = runs.stages(hp.cognate_threshold, hp.synonym_threshold)
+    cycles = run_cycles(tg, descriptor)
+    full = run_cognate_stage(cycles.graph, cycles.candidates, one_to_one=descriptor.method != "M")
+    cognates = _cut(full, hp.cognate_threshold)
+    synonyms = _synonyms_after(cycles, cognates) if descriptor.method == "S" else ()
+    synonyms = _cut(synonyms, hp.synonym_threshold)
     # a stage not cut short that left candidates had them blocked by uniqueness
-    uncut = len(cognates) == len(runs.cognates)
+    uncut = len(cognates) == len(full)
     report = TransgraphReport(
         transgraph_id=tg.id,
-        cycles_run=runs.cycles.cycles_run,
-        fixpoint=runs.cycles.fixpoint,
-        candidates=len(runs.cycles.candidates),
+        cycles_run=cycles.cycles_run,
+        fixpoint=cycles.fixpoint,
+        candidates=len(cycles.candidates),
         cognate_pairs=len(cognates),
         synonym_pairs=len(synonyms),
-        cognate_unsat=uncut and len(cognates) < len(runs.cycles.candidates),
+        cognate_unsat=uncut and len(cognates) < len(cycles.candidates),
     )
     return tg.id, list(cognates + synonyms), report
 

@@ -1,31 +1,68 @@
 """The full-grid threshold search: the reference for evaluation's breakpoint sweep.
 
-full_sweep tallies every point of the 0.01 grid, cutting each run at the
-point's thresholds with pipeline._cut; evaluation._sweep yields only the
-points where a tally can change. A transgraph's share of its fold's totals
-is recounted only where its cognate prefix grows, which keeps the
-reference fast enough to run on every fold of every random fixture.
+full_sweep tallies every point of the 0.01 grid, cutting each transgraph's
+unthresholded stage runs (Runs) at the point's thresholds with
+pipeline._cut; evaluation._sweep yields only the points where a tally can
+change, from the tally steps that evaluation._tally_steps builds, which
+this module does not use. Its grid is global, past the costliest pair of
+any run. A transgraph's share of its fold's totals is recounted only where
+its cognate prefix grows, which keeps the reference fast enough to run on
+every fold of every random fixture.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
+from pivotlex import pipeline
 from pivotlex.evaluation import GridPoint, _metrics, score
 from pivotlex.lexicon import PairSet
-from pivotlex.pipeline import MethodDescriptor, StageRuns, _cut
-from pivotlex.transgraph import TransgraphSet
+from pivotlex.pipeline import InducedPair, MethodDescriptor, _cut
+from pivotlex.transgraph import Transgraph, TransgraphSet
+
+
+class Runs:
+    """One transgraph's unthresholded stage runs: the cognate run, and the
+    synonym run after each of its prefixes, run once when first needed."""
+
+    def __init__(
+        self,
+        cognates: tuple[InducedPair, ...],
+        synonyms_after: Callable[[tuple[InducedPair, ...]], tuple[InducedPair, ...]],
+    ):
+        self.cognates = cognates
+        self.synonyms_after = synonyms_after
+        self._synonyms: dict[int, tuple[InducedPair, ...]] = {}  # by cognate prefix length
+
+    def pairs(self, ct: float | None, st: float | None) -> tuple[InducedPair, ...]:
+        """The pairs a run at thresholds (ct, st) accepts, in order."""
+        cognates = _cut(self.cognates, ct)
+        k = len(cognates)
+        if k not in self._synonyms:
+            self._synonyms[k] = self.synonyms_after(cognates)
+        return cognates + _cut(self._synonyms[k], st)
+
+
+def stage_runs(tg: Transgraph, descriptor: MethodDescriptor) -> Runs:
+    """A transgraph's Runs, each stage called through pipeline's globals."""
+    cycles = pipeline.run_cycles(tg, descriptor)
+    cognates = pipeline.run_cognate_stage(
+        cycles.graph, cycles.candidates, one_to_one=descriptor.method != "M"
+    )
+    if descriptor.method != "S":
+        return Runs(cognates, lambda prefix: ())
+    return Runs(cognates, lambda prefix: pipeline._synonyms_after(cycles, prefix))
 
 
 def full_sweep(
-    folds: Sequence[Sequence[StageRuns]], gold: PairSet, with_synonyms: bool
+    folds: Sequence[Sequence[Runs]], gold: PairSet, with_synonyms: bool
 ) -> Iterator[tuple[float, float | None, list[tuple[int, int]]]]:
     """(ct, st, [(pairs, gold pairs) per fold]) at every point of the 0.01 grid.
 
-    The grid and the search order are evaluation._sweep's: the cognate axis
-    runs past the costliest unthresholded acceptance, the synonym axis
-    (0..1 or None) varies fastest.
+    The search order is evaluation._sweep's: the cognate axis runs past the
+    costliest unthresholded acceptance of any run, the synonym axis (0..1 or
+    None) varies fastest.
     """
     runs = [(f, run) for f, fold in enumerate(folds) for run in fold]
     top = max((p.cost for _, r in runs for p in r.pairs(None, None)), default=0.0)
@@ -58,7 +95,7 @@ def grid_points(
 ) -> Iterator[GridPoint]:
     """Every point of the 0.01 grid with the metrics of a run there: a one-fold full_sweep."""
     score(PairSet(tset.lang_a, tset.lang_c, frozenset()), gold, beta)
-    runs = [StageRuns(g, descriptor) for g in sorted(tset.graphs, key=lambda g: g.id)]
+    runs = [stage_runs(g, descriptor) for g in sorted(tset.graphs, key=lambda g: g.id)]
     for ct, st, ((size, hits),) in full_sweep([runs], gold, descriptor.method == "S"):
         yield GridPoint(ct, st, _metrics(hits, size, len(gold.pairs), beta))
 

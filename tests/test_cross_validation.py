@@ -1,7 +1,7 @@
 """Cross-validation against a fold-by-fold reference.
 
 cross_validate serves every fold from one sweep of the threshold grid's
-breakpoints over one unthresholded run per transgraph. The reference
+breakpoints over each transgraph's tally steps. The reference
 below is the plain fold loop: for each fold, the full-grid search of
 grid_reference on the training transgraphs (not grid_search, which shares
 the sweep under test), a run of the test transgraphs at the thresholds it

@@ -1,43 +1,55 @@
 """The threshold search against runs at its grid points.
 
 grid_search scores the breakpoints of the (cognate, synonym) threshold
-grid from the prefixes that pipeline.StageRuns cuts from one
-unthresholded run per transgraph. grid_reference.grid_points scores every
-grid point the same way: grid_search must pick its first F-maximum, and
-the breakpoint sweep must give its tallies at every point, also on
-hand-set costs that sit exactly on a grid value. Two references check the
-full grid:
+grid from tally steps (evaluation._tally_steps): per transgraph, the pairs
+a run keeps at each cognate threshold where its prefix grows.
+grid_reference.grid_points scores every grid point from the prefixes it
+cuts from one unthresholded run per transgraph (grid_reference.Runs):
+grid_search must pick its first F-maximum, and the breakpoint sweep must
+give its tallies at every point, also on hand-set costs that sit exactly
+on a grid value, or whose transgraphs' costliest pairs lie far apart. Two
+references check the full grid's runs:
 
 - at sampled points, induce_on_transgraphs rerun at the point's
   thresholds. It cuts its prefixes the same way, so this checks the
-  search's tallies, metrics and synonym-stage reuse, not the cut itself;
+  reference's tallies, metrics and synonym-stage reuse, not the cut itself;
 - at each fixture's F-optimal point, test_selection.reference_induce,
   the solver-driven loop that applies the thresholds itself.
 
 Both must give the same pairs, in the same order with the same stage,
 cost, anchor and transgraph; the rerun must also give the same metrics.
+grid_search and cross_validate must also drop each grown transgraph before
+the sweep starts.
 """
 
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
-from helpers import LANG_A, LANG_C, random_dictionaries, wa, wc
-from grid_reference import full_sweep, grid_points, reference_grid_search
-from pivotlex.evaluation import _sweep, grid_search, score
+from helpers import LANG_A, LANG_C, dict_ab, dict_cb, random_dictionaries, wa, wc
+from grid_reference import Runs, full_sweep, grid_points, reference_grid_search, stage_runs
+from pivotlex import evaluation, pipeline
+from pivotlex.evaluation import (
+    _sweep,
+    _tally_steps,
+    cross_validate,
+    grid_search,
+    restrict_gold,
+    score,
+)
 from pivotlex.lexicon import PairSet
 from pivotlex.pipeline import (
     COGNATE,
     SYNONYM,
     HyperParams,
     InducedPair,
-    StageRuns,
-    _cut,
     induce_on_transgraphs,
     parse_method,
 )
-from pivotlex.transgraph import build_transgraphs
+from pivotlex.transgraph import TransgraphSet, build_transgraphs
 from test_evaluation import _planted_tset, _synonym_tset, pair_set
 from test_selection import reference_induce
 
@@ -100,7 +112,7 @@ def test_search_matches_rerun_at_sampled_points(method):
         descriptor = parse_method(rng.choice(DESCRIPTORS[method]))
         gold = random_gold(rng, tset)
         points = list(grid_points(tset, descriptor, gold))
-        runs = [StageRuns(g, descriptor) for g in sorted(tset.graphs, key=lambda g: g.id)]
+        runs = [stage_runs(g, descriptor) for g in sorted(tset.graphs, key=lambda g: g.id)]
         best = max(points, key=lambda p: p.metrics.f_score)  # grid_search's pick
         sample = rng.sample(points, min(len(points), POINTS_PER_FIXTURE))
         for point in [best, points[0], points[-1], *sample]:
@@ -163,13 +175,15 @@ def test_search_matches_full_grid_reference(method):
 COSTS = (0.0, 0.01, 0.07, 0.29, 0.3, 0.1 + 0.2, 0.5, 0.57, 0.58, 0.99, 1.0, 1.01, 1.2)
 
 
-class FixedRuns:
+class FixedRuns(Runs):
     """Stage runs with set costs, for the sweeps: the cognates, and the
-    synonyms that follow each cognate prefix, cut as pipeline cuts them."""
+    synonyms that follow each cognate prefix. full_sweep cuts them per grid
+    point; _sweep reads the steps that _tally_steps builds from them."""
 
     def __init__(self, graph_id, cognate_costs, synonym_costs):
-        self.cognates = self.outcome(graph_id, COGNATE, cognate_costs)
         self.synonyms = [self.outcome(graph_id, SYNONYM, c) for c in synonym_costs]
+        cognates = self.outcome(graph_id, COGNATE, cognate_costs)
+        super().__init__(cognates, lambda prefix: self.synonyms[len(prefix)])
 
     @staticmethod
     def outcome(graph_id, stage, costs):
@@ -179,13 +193,8 @@ class FixedRuns:
             for name, cost in zip(names, costs)
         )
 
-    def stages(self, ct, st):
-        cognates = _cut(self.cognates, ct)
-        return cognates, _cut(self.synonyms[len(cognates)], st)
-
-    def pairs(self, ct, st):
-        cognates, synonyms = self.stages(ct, st)
-        return cognates + synonyms
+    def steps(self, gold, with_synonyms):
+        return _tally_steps(self.cognates, self.synonyms_after if with_synonyms else None, gold)
 
 
 def check_breakpoints(folds, gold, with_synonyms):
@@ -194,7 +203,8 @@ def check_breakpoints(folds, gold, with_synonyms):
     column (on a skipped row), which comes earlier: so no first maximum of
     a function of the tallies is skipped."""
     visited = {}
-    for ct, st, tallies in _sweep(folds, gold, with_synonyms):
+    steps = [[run.steps(gold, with_synonyms) for run in fold] for fold in folds]
+    for ct, st, tallies in _sweep(steps, with_synonyms):
         assert st not in visited.get(ct, {}), f"({ct}, {st}) twice"
         visited.setdefault(ct, {})[st] = tallies
     full = list(full_sweep(folds, gold, with_synonyms))
@@ -272,3 +282,65 @@ def test_sweep_skips_only_repeated_points():
         kept = [p for p in pairs if rng.random() < 0.5] + [(wa("zz"), wc("zz"))]
         gold = PairSet(LANG_A, LANG_C, frozenset(kept))
         check_breakpoints(folds, gold, with_synonyms)
+
+
+@pytest.mark.parametrize("with_synonyms", [True, False])
+def test_far_apart_costs_enter_on_their_global_rows(with_synonyms):
+    # each transgraph's steps index a grid that reaches only its own
+    # costliest cognate; full_sweep's grid runs past 12.0 for all of them
+    costs = {
+        0: ([0.07], [[0.5], [0.2, 0.99]]),
+        1: ([0.01, 0.1 + 0.2], [[], [0.3], [0.07, 1.0]]),
+        2: ([0.5, 12.0, 0.3], [[0.57], [], [0.01], [0.58, 0.1]]),
+        3: ([0.02, 0.6], [[], [0.4], [0.5]]),
+    }
+    runs = [
+        FixedRuns(g, cognates, synonyms if with_synonyms else [[]] * len(synonyms))
+        for g, (cognates, synonyms) in costs.items()
+    ]
+    pairs = [p.pair for r in runs for p in r.cognates + sum(r.synonyms, ())]
+    gold = PairSet(LANG_A, LANG_C, frozenset(pairs[::2]))
+    visited = check_breakpoints([runs[:3], runs[3:]], gold, with_synonyms)
+    assert list(visited) == [0.0, 0.02, 0.03, 0.08, 0.31, 0.51, 0.61, 12.01]
+
+
+def chained_inputs(chains):
+    """test_golden.chained's transgraphs that hold a planted pair, and those pairs."""
+    from test_golden import chained
+
+    inputs = chained(1, chains)
+    tset = build_transgraphs(dict_ab(*inputs.ab), dict_cb(*inputs.cb))
+    gold = PairSet(LANG_A, LANG_C, frozenset((wa(a), wc(c)) for a, c in inputs.gold))
+    graphs = [g for g in tset.graphs if restrict_gold(gold, [g]).pairs]
+    return TransgraphSet(tset.lang_a, tset.lang_b, tset.lang_c, graphs), gold
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda tset, desc, gold: grid_search(tset, desc, gold),
+        lambda tset, desc, gold: cross_validate(tset, desc, gold, 2),
+    ],
+    ids=["grid_search", "cross_validate"],
+)
+def test_sweep_holds_no_grown_graph(monkeypatch, search):
+    grown = []  # a weak reference to each graph a symmetry cycle grew
+    alive = []  # per sweep, the grown graphs still alive when it starts
+    add_new_edges, sweep = pipeline.add_new_edges, evaluation._sweep
+
+    def tracked_add_new_edges(*args):
+        graph = add_new_edges(*args)
+        grown.append(weakref.ref(graph))
+        return graph
+
+    def counted_sweep(*args):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in grown))
+        return sweep(*args)
+
+    monkeypatch.setattr(pipeline, "add_new_edges", tracked_add_new_edges)
+    monkeypatch.setattr(evaluation, "_sweep", counted_sweep)
+    tset, gold = chained_inputs((20, 20, 20))
+    search(tset, parse_method("3:S:H1"), gold)
+    assert grown  # the cycles grew graphs that the search could have kept
+    assert alive == [0]
