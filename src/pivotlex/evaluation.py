@@ -70,15 +70,17 @@ def _tally_steps(
     """At row 0 and each 0.01-grid row where the prefix of an unthresholded
     cognate run grows, the pairs a run there keeps at synonym threshold 1.0,
     by the column each enters at. synonyms_after(prefix) is the unthresholded
-    synonym run after a prefix (None: no synonym stage). A grid reaching the
-    costliest cognate gives every row its global index.
+    synonym run after a non-empty prefix (None: no synonym stage); row 0's
+    prefix is empty, as no cost is below 0, and a run anchored on no cognate
+    is empty. A grid reaching the costliest cognate gives every row its
+    global index.
     """
     top = max((p.cost for p in cognates), default=0.0)
     rows = _entries(cognates, [i / 100 for i in range(math.ceil(round(top * 100, 6)) + 2)])
     steps = []
     for row in sorted({0, *rows}):
         prefix = cognates[: bisect_right(rows, row)]  # what a run at this row keeps
-        synonyms = synonyms_after(prefix) if synonyms_after else ()
+        synonyms = synonyms_after(prefix) if synonyms_after and prefix else ()
         cols = [0] * len(prefix) + _entries(synonyms, _SYNONYM_GRID)
         hits = (p.pair in gold.pairs for p in prefix + synonyms)
         steps.append((row, Counter((c, hit) for c, hit in zip(cols, hits) if c <= 100)))
@@ -134,7 +136,8 @@ def grid_search(
     The metrics are those of a run at the chosen thresholds: one sweep over
     each transgraph's tally steps scores the grid's breakpoints (_sweep)
     without a run per point, running the synonym stage of method S once per
-    distinct cognate prefix and dropping each graph once its steps exist.
+    distinct non-empty cognate prefix and dropping each graph once its steps
+    exist.
     """
     # fail on the inputs score rejects, before any work
     score(PairSet(tset.lang_a, tset.lang_c, frozenset()), gold, beta)

@@ -39,19 +39,24 @@ runs, the synonym one anchored on the kept cognates (_synonyms_after), and
 grid-search and cv tally each transgraph's runs at every threshold where its
 cognate prefix grows (evaluation._graph_steps), then drop the graph.
 
-With jobs > 1, induce_on_transgraphs splits the graphs into
-min(jobs, graphs) shares of about equal edge count (_balanced_shares),
-forks one child per share after the first and induces the first share
-itself. A child inherits the graphs, the descriptor and the thresholds,
-so nothing is pickled on the way out; it sends back one pickled
-(id, pairs, report) list, or the exception it raised, through a pipe and
-ends with os._exit. The results are aggregated by id as in a serial run.
-Without os.fork (Windows) the graphs are induced serially. The garbage
-collector is frozen while the children run (gc.freeze), so neither this
-process nor a child walks, and so copies, the objects they share;
-gc.unfreeze afterwards also thaws whatever a caller had frozen. A fork
-copies only the calling thread, so a caller that forks children should
-have no other thread running.
+With jobs > 1, induce_on_transgraphs maps _induce_one over the graphs
+through _fork_map. It deals the graphs, largest first, into a fixed number
+of chunks per process and writes the chunk ids into a queue pipe, then
+forks up to jobs - 1 children. Every process, this one included, reads
+chunk ids from the queue until it is empty, so a process that runs faster
+takes more chunks. A child inherits the graphs, the descriptor and the
+thresholds, so nothing is pickled on the way out; after each chunk it
+writes that chunk's (id, pairs, report) list, pickled and length-prefixed,
+or the exception it raised, to its own result pipe, and it ends with
+os._exit. Between its own chunks, this process reads whatever frames have
+arrived, so pickling overlaps induction, and then waits for the rest. The
+results are aggregated by id as in a serial run. Without os.fork (Windows)
+the graphs are induced serially. The garbage collector is frozen while the
+children run (gc.freeze), so neither this process nor a child walks, and
+so copies, the objects they share; a caller that has frozen objects itself
+keeps them frozen, and then nothing more is frozen. A fork copies only the
+calling thread, so a caller that forks children should have no other
+thread running.
 """
 
 from __future__ import annotations
@@ -59,8 +64,9 @@ from __future__ import annotations
 import gc
 import heapq
 import os
+from functools import partial
 from operator import itemgetter
-from typing import BinaryIO, NamedTuple, Sequence
+from typing import BinaryIO, Callable, NamedTuple, Sequence
 
 from .heuristics import (
     HeuristicSelection,
@@ -378,19 +384,121 @@ def _induce_one(
     return tg.id, list(cognates + synonyms), report
 
 
-def _balanced_shares(graphs: Sequence[Transgraph], n: int) -> list[list[int]]:
-    """Deal graph indices into n shares, each to the share with the fewest edges so far.
+# the chunks dealt per process: a faster process takes more of them, and a
+# child streams each one's results back while the others still run; 4 to 32
+# ran about equally fast on many small transgraphs
+_CHUNKS_PER_PROCESS = 8
+# chunk ids are single bytes, so the whole queue is one write of at most
+# 256 <= PIPE_BUF bytes, which fits in any pipe
+_MAX_CHUNKS = 256
 
-    Largest graph first, and ties go to the lowest share, so share 0, the
-    one the calling process induces, holds the largest graph.
+
+def _fork_map(fn: Callable[[Transgraph], object], graphs: Sequence[Transgraph], jobs: int) -> list:
+    """fn over the graphs in up to `jobs` processes; the results in graph order.
+
+    The processes pull chunk ids from a queue pipe whose write end is
+    closed before the first fork, so each reads them until EOF. A child's
+    frames are an 8-byte little-endian length and a pickle of
+    (True, (chunk id, results)) or, last, (False, exception).
     """
-    shares: list[list[int]] = [[] for _ in range(n)]
-    loads = [0] * n  # edges dealt to each share
-    for i in sorted(range(len(graphs)), key=lambda i: -len(graphs[i].edges)):
-        k = loads.index(min(loads))
-        shares[k].append(i)
-        loads[k] += len(graphs[i].edges)
-    return shares
+    n_chunks = min(len(graphs), jobs * _CHUNKS_PER_PROCESS, _MAX_CHUNKS)
+    procs = min(jobs, n_chunks) if hasattr(os, "fork") else 1
+    if procs <= 1:
+        return [fn(g) for g in graphs]
+    import pickle  # only a run that forks needs these
+    import select
+    import signal
+
+    order = sorted(range(len(graphs)), key=lambda i: -len(graphs[i].edges))
+    chunks = [order[c::n_chunks] for c in range(n_chunks)]
+    results: list = [None] * len(graphs)
+
+    def run(c: int) -> list:
+        return [fn(graphs[i]) for i in chunks[c]]
+
+    def take(c: int, values: list) -> None:
+        for i, value in zip(chunks[c], values):
+            results[i] = value
+
+    def send(f: BinaryIO, frame: tuple) -> None:
+        payload = pickle.dumps(frame)
+        f.write(len(payload).to_bytes(8, "little") + payload)
+        f.flush()
+
+    children: dict[int, tuple[int, bytearray]] = {}  # result pipe's read end -> (pid, unread bytes)
+    poller = select.poll()
+
+    def receive(timeout: int | None) -> None:
+        """Read what has arrived, waiting up to `timeout` ms (None: for some)."""
+        for fd, _ in poller.poll(timeout):
+            pid, buf = children[fd]
+            data = os.read(fd, 1 << 20)
+            buf += data
+            while len(buf) >= 8:
+                end = 8 + int.from_bytes(buf[:8], "little")
+                if len(buf) < end:
+                    break
+                ok, value = pickle.loads(buf[8:end])
+                del buf[:end]
+                if not ok:
+                    raise value
+                take(*value)
+            if not data:  # the child has exited and closed its end
+                poller.unregister(fd)
+                del children[fd]
+                os.close(fd)
+                if os.waitpid(pid, 0)[1] or buf:  # killed, or ended mid-frame
+                    raise RuntimeError(f"worker process {pid} exited without a result")
+
+    qr, qw = os.pipe()
+    os.write(qw, bytes(range(n_chunks)))
+    os.close(qw)  # so a read at the queue's end gives EOF
+    # a collection walks every object it tracks and writes to each, so
+    # children would copy the pages they share with this process; frozen
+    # objects are not walked, here or in the children. gc.unfreeze thaws
+    # everything, so only a caller that has frozen nothing gets a freeze.
+    freeze = gc.get_freeze_count() == 0
+    if freeze:
+        gc.freeze()
+    try:
+        for _ in range(procs - 1):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(r)
+                    with open(w, "wb") as f:
+                        try:
+                            while c := os.read(qr, 1):
+                                send(f, (True, (c[0], run(c[0]))))
+                        except Exception as exc:  # raised again in the parent
+                            send(f, (False, exc))
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(w)
+            children[r] = (pid, bytearray())
+            poller.register(r, select.POLLIN)
+        while c := os.read(qr, 1):
+            take(c[0], run(c[0]))
+            receive(0)
+        while children:
+            receive(None)
+    finally:
+        os.close(qr)
+        for fd, (pid, _) in children.items():  # those not yet reaped: end them
+            os.close(fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        if freeze:
+            gc.unfreeze()
+    return results
 
 
 def induce_on_transgraphs(
@@ -406,62 +514,9 @@ def induce_on_transgraphs(
     """
     hp = hp or HyperParams()
     graphs = sorted(tset.graphs, key=lambda g: g.id)
-    n = max(1, min(jobs, len(graphs))) if hasattr(os, "fork") else 1
-    shares = _balanced_shares(graphs, n)
-
-    def induce(share: list[int]) -> list[tuple[int, list[InducedPair], TransgraphReport]]:
-        return [_induce_one(graphs[i], descriptor, hp) for i in share]
-
-    children: list[tuple[int, BinaryIO]] = []  # (pid, read end of its pipe)
-    if n > 1:
-        import pickle  # only a run that forks needs these
-        import signal
-
-        # a collection walks every object it tracks and writes to each, so
-        # children would copy the pages they share with this process;
-        # frozen objects are not walked, here or in the children
-        gc.freeze()
-    try:
-        for share in shares[1:]:
-            r, w = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                status = 1
-                try:
-                    os.close(r)
-                    try:
-                        payload = pickle.dumps((True, induce(share)))
-                    except Exception as exc:  # raised again in the parent
-                        payload = pickle.dumps((False, exc))
-                    with open(w, "wb") as f:
-                        f.write(payload)
-                    status = 0
-                finally:
-                    os._exit(status)
-            children.append((pid, open(r, "rb")))
-            os.close(w)
-        outputs = induce(shares[0])
-        for pid, f in children:
-            with f:  # read to EOF before reaping: a child blocks on a full pipe
-                payload = f.read()
-            if not payload:
-                raise RuntimeError(f"induction worker {pid} exited without a result")
-            ok, value = pickle.loads(payload)
-            if not ok:
-                raise value
-            outputs += value
-    finally:
-        for pid, f in children:
-            if not f.closed:  # its result was not read: end it
-                f.close()
-                os.kill(pid, signal.SIGKILL)
-        for pid, _ in children:
-            os.waitpid(pid, 0)
-        if n > 1:
-            gc.unfreeze()
     pairs: list[InducedPair] = []
     reports: dict[int, TransgraphReport] = {}
-    for tg_id, ps, report in sorted(outputs, key=lambda o: o[0]):
+    for tg_id, ps, report in _fork_map(partial(_induce_one, descriptor=descriptor, hp=hp), graphs, jobs):
         pairs.extend(ps)
         reports[tg_id] = report
     return InductionResult(tset.lang_a, tset.lang_c, pairs, reports, list(tset.skipped))

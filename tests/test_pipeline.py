@@ -1,7 +1,12 @@
 import collections
+import gc
 import itertools
 import os
+import pickle
 import random
+import select
+import signal
+import time
 
 import pytest
 
@@ -56,6 +61,62 @@ def skewed_dictionaries():
         ab += [(f"sa{k}_{i}", f"sb{k}") for i in range(1 + k % 2)]
         cb += [(f"sc{k}_{i}", f"sb{k}") for i in range(1 + k % 3)]
     return dict_ab(*ab), dict_cb(*cb)
+
+
+def largest_chunk(tset, jobs):
+    """The most graphs _fork_map deals into one chunk of the queue."""
+    chunks = min(len(tset.graphs), jobs * pipeline._CHUNKS_PER_PROCESS, pipeline._MAX_CHUNKS)
+    return -(-len(tset.graphs) // chunks)
+
+
+def open_fds():
+    return set(os.listdir("/dev/fd"))
+
+
+def assert_closed_and_reaped(fds):
+    """No pipe is left open beyond `fds`, and no child is left unreaped."""
+    assert open_fds() == fds
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def per_process(monkeypatch):
+    """Wraps run_cycles to act per process, told apart by pid.
+
+    per_process(parent, child) calls parent(tg) before each graph that the
+    calling process induces, and child(n) before the n-th graph that a
+    forked child induces; it returns the ids of the graphs the calling
+    process induced. Before its first graph, the calling process waits
+    until some child has started one, so a child always takes part.
+    """
+    caller = os.getpid()
+    started_r, started_w = os.pipe()
+    run_cycles = pipeline.run_cycles
+
+    def wrap(parent=None, child=None):
+        induced = []  # children fork before any graph, so each counts its own
+
+        def wrapped(tg, descriptor):
+            induced.append(tg.id)
+            if os.getpid() == caller:
+                if len(induced) == 1:
+                    select.select([started_r], [], [], 10)
+                if parent:
+                    parent(tg)
+            else:
+                if len(induced) == 1:
+                    os.write(started_w, b".")
+                if child:
+                    child(len(induced))
+            return run_cycles(tg, descriptor)
+
+        monkeypatch.setattr(pipeline, "run_cycles", wrapped)
+        return induced
+
+    yield wrap
+    os.close(started_r)
+    os.close(started_w)
 
 
 class TestParseMethod:
@@ -357,7 +418,8 @@ class TestStageCalls:
 
     @staticmethod
     def cognate_axis(tset, desc, gold):
-        """The search's cognate thresholds and the graphs' distinct prefixes over them."""
+        """The search's cognate thresholds and the graphs' distinct prefixes
+        over them, each graph's empty prefix (at threshold 0) among them."""
         cognate_grid = sorted({p.cognate_threshold for p in grid_points(tset, desc, gold)})
         prefixes = sum(
             len({_induce_one(g, desc, HyperParams(ct))[2].cognate_pairs for ct in cognate_grid})
@@ -382,7 +444,9 @@ class TestStageCalls:
             _, prefixes = self.cognate_axis(tset, desc, gold)
             calls()
             grid_search(tset, desc, gold)
-            assert calls() == (len(tset.graphs), len(tset.graphs), prefixes)
+            graphs = len(tset.graphs)
+            # a synonym run anchored on no cognate is empty, so it is skipped
+            assert calls() == (graphs, graphs, prefixes - graphs)
 
     def test_cross_validate_runs_each_stage_once_per_graph_or_prefix(self, calls):
         desc = parse_method("2:S:H14")
@@ -402,7 +466,7 @@ class TestStageCalls:
                 except ValueError:  # a fold without gold fails before any stage runs
                     assert calls() == (0, 0, 0)
                     continue
-                assert calls() == (graphs, graphs, prefixes)
+                assert calls() == (graphs, graphs, prefixes - graphs)
                 folds += k
         assert folds >= 30
 
@@ -520,7 +584,7 @@ class TestRunPipeline:
 
     def test_jobs_do_not_change_output_on_skewed_input(self):
         # one big component and many one-pivot ones: largest-first dealing
-        # puts the last graph in the calling process's share
+        # puts the last graph in the first chunk
         tset = build_transgraphs(*skewed_dictionaries())
         assert max(tset.graphs, key=lambda g: len(g.edges)).id == len(tset.graphs) - 1
         method = parse_method("2:S:H14")
@@ -531,62 +595,126 @@ class TestRunPipeline:
             ]
             assert res.reports == runs[0].reports
 
-    def test_shares_capped_at_transgraph_count(self, monkeypatch):
-        asked = []
+    def test_jobs_above_transgraph_count(self, monkeypatch):
+        forked = []
+        fork = os.fork
 
-        def recording(graphs, n):
-            asked.append(n)
-            return balanced(graphs, n)
+        def counting():
+            pid = fork()
+            if pid:
+                forked.append(pid)
+            return pid
 
-        balanced = pipeline._balanced_shares
-        monkeypatch.setattr(pipeline, "_balanced_shares", recording)
+        monkeypatch.setattr(os, "fork", counting)
         tset = build_transgraphs(
             dict_ab(("a1", "b1"), ("a2", "b2")), dict_cb(("c1", "b1"), ("c2", "b2"))
         )
         assert len(tset.graphs) == 2
+        fds = open_fds()
         res = induce_on_transgraphs(tset, parse_method("1:C:H1"), jobs=8)
-        assert asked == [2]
+        assert len(forked) == 1  # one process per transgraph
         assert len(res.pairs) == 2
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 8, 151])
-    def test_balanced_shares(self, n):
-        graphs = build_transgraphs(*skewed_dictionaries()).graphs
-        assert len(graphs) == 151
-        shares = pipeline._balanced_shares(graphs, n)
-        assert len(shares) == n and all(shares)
-        assert sorted(i for share in shares for i in share) == list(range(len(graphs)))
-        sizes = [len(g.edges) for g in graphs]
-        assert sizes.index(max(sizes)) in shares[0]
-        # each graph goes to the lightest share, so no two shares differ by
-        # more than the largest graph
-        loads = [sum(sizes[i] for i in share) for share in shares]
-        assert max(loads) - min(loads) <= max(sizes)
+        assert_closed_and_reaped(fds)
 
     @pytest.mark.parametrize("raises_in", [None, "parent", "child"])
     @pytest.mark.parametrize("jobs", [2, 3])
-    def test_forked_run_returns_or_raises_and_reaps(self, monkeypatch, jobs, raises_in):
+    def test_forked_run_returns_or_raises_and_reaps(self, per_process, jobs, raises_in):
         tset = build_transgraphs(*skewed_dictionaries())
         method = parse_method("1:S:H14")
+        serial = induce_on_transgraphs(tset, method)
+
+        def failing(_):
+            raise ValueError(f"no cycles in the {raises_in}")
+
+        per_process(**({raises_in: failing} if raises_in else {}))
+        fds = open_fds()
         if raises_in is None:
-            serial = induce_on_transgraphs(tset, method)
             res = induce_on_transgraphs(tset, method, jobs=jobs)
             assert res.pairs == serial.pairs and res.reports == serial.reports
         else:
-            # share 0 is the calling process's, share 1 a child's
-            share = pipeline._balanced_shares(tset.graphs, jobs)[raises_in == "child"]
-            bad = tset.graphs[share[-1]].id
-
-            def failing(tg, descriptor):
-                if tg.id == bad:
-                    raise ValueError(f"no cycles for transgraph {tg.id}")
-                return run_cycles(tg, descriptor)
-
-            monkeypatch.setattr(pipeline, "run_cycles", failing)
-            with pytest.raises(ValueError, match=f"^no cycles for transgraph {bad}$"):
+            with pytest.raises(ValueError, match=f"^no cycles in the {raises_in}$"):
                 induce_on_transgraphs(tset, method, jobs=jobs)
-        # every child was reaped
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        assert_closed_and_reaped(fds)
+
+    def test_slow_child_takes_fewer_graphs(self, per_process):
+        tset = build_transgraphs(*skewed_dictionaries())
+        method = parse_method("1:S:H14")
+        serial = induce_on_transgraphs(tset, method)
+        induced = per_process(child=lambda n: time.sleep(0.005))
+        fds = open_fds()
+        res = induce_on_transgraphs(tset, method, jobs=2)
+        assert res.pairs == serial.pairs and res.reports == serial.reports
+        # the child induced the graphs the calling process did not
+        assert len(induced) > len(tset.graphs) - len(induced)
+        assert_closed_and_reaped(fds)
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_child_raising_after_streamed_chunks(self, per_process, monkeypatch, jobs):
+        tset = build_transgraphs(*skewed_dictionaries())
+        chunk = largest_chunk(tset, jobs)
+
+        def failing(n):
+            if n > chunk:  # in its second chunk or later
+                raise ValueError("no cycles in the child")
+
+        frames = []  # each result frame's ok flag, as the calling process reads it
+        loads = pickle.loads
+
+        def spy(data):
+            frame = loads(data)
+            frames.append(frame[0])
+            return frame
+
+        monkeypatch.setattr(pickle, "loads", spy)
+        per_process(parent=lambda tg: time.sleep(0.002), child=failing)
+        fds = open_fds()
+        with pytest.raises(ValueError, match="^no cycles in the child$"):
+            induce_on_transgraphs(tset, parse_method("1:S:H14"), jobs=jobs)
+        assert frames[-1] is False and True in frames
+        assert_closed_and_reaped(fds)
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_killed_child_is_an_error(self, per_process, jobs):
+        tset = build_transgraphs(*skewed_dictionaries())
+        chunk = largest_chunk(tset, jobs)
+
+        def killed(n):
+            if n > chunk:  # partway through the queue
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        per_process(parent=lambda tg: time.sleep(0.002), child=killed)
+        fds = open_fds()
+        with pytest.raises(RuntimeError, match=r"^worker process \d+ exited without a result$"):
+            induce_on_transgraphs(tset, parse_method("1:S:H14"), jobs=jobs)
+        assert_closed_and_reaped(fds)
+
+    @pytest.mark.parametrize("raises", [False, True])
+    def test_caller_freeze_count_is_kept(self, per_process, raises):
+        tset = build_transgraphs(*skewed_dictionaries())
+        method = parse_method("1:C:H1")
+
+        def failing(_):
+            raise ValueError("no cycles in the child")
+
+        per_process(child=failing if raises else None)
+
+        def induce():
+            if not raises:
+                return induce_on_transgraphs(tset, method, jobs=2)
+            with pytest.raises(ValueError, match="^no cycles in the child$"):
+                induce_on_transgraphs(tset, method, jobs=2)
+
+        assert gc.get_freeze_count() == 0
+        induce()
+        assert gc.get_freeze_count() == 0
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            assert frozen
+            induce()
+            assert gc.get_freeze_count() == frozen
+        finally:
+            gc.unfreeze()
 
     @pytest.mark.parametrize(
         "method, reads_spelling",

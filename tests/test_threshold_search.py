@@ -177,11 +177,13 @@ COSTS = (0.0, 0.01, 0.07, 0.29, 0.3, 0.1 + 0.2, 0.5, 0.57, 0.58, 0.99, 1.0, 1.01
 
 class FixedRuns(Runs):
     """Stage runs with set costs, for the sweeps: the cognates, and the
-    synonyms that follow each cognate prefix. full_sweep cuts them per grid
-    point; _sweep reads the steps that _tally_steps builds from them."""
+    synonyms that follow each non-empty cognate prefix (synonym_costs[k - 1]
+    after k cognates; none after none, as in a real run). full_sweep cuts
+    them per grid point; _sweep reads the steps that _tally_steps builds
+    from them."""
 
     def __init__(self, graph_id, cognate_costs, synonym_costs):
-        self.synonyms = [self.outcome(graph_id, SYNONYM, c) for c in synonym_costs]
+        self.synonyms = [self.outcome(graph_id, SYNONYM, c) for c in [[], *synonym_costs]]
         cognates = self.outcome(graph_id, COGNATE, cognate_costs)
         super().__init__(cognates, lambda prefix: self.synonyms[len(prefix)])
 
@@ -222,18 +224,19 @@ def check_breakpoints(folds, gold, with_synonyms):
 def test_costs_on_a_grid_value_enter_one_step_later():
     # a run at t keeps a pair costing exactly t never, and one costing 1.0
     # on no synonym threshold; prefix costs need not rise
-    synonyms = [[0.5, 1.0], [1.0, 0.3], [0.07], [], [0.99]]  # after 0, 1, ... cognates
+    synonyms = [[1.0, 0.3], [0.07, 1.0], [], [0.99]]  # after 1, 2, ... cognates
     runs = FixedRuns(0, [0.5, 0.2, 0.57, 0.1 + 0.2], synonyms)
     gold = PairSet(LANG_A, LANG_C, frozenset(p.pair for p in runs.pairs(None, None)))
     visited = check_breakpoints([[runs]], gold, True)
     assert list(visited) == [0.0, 0.51, 0.58]
     assert {ct: list(row) for ct, row in visited.items()} == {
-        0.0: [0.0, 0.51],  # the 1.0 never enters
-        0.51: [0.0, 0.08],
+        0.0: [0.0],  # no cognate, so no synonym
+        0.51: [0.0, 0.08],  # the 1.0 never enters
         0.58: [0.0, 1.0],  # 0.1 + 0.2 enters behind 0.57
     }
-    assert visited[0.0][0.51] == [(1, 1)]
+    assert visited[0.0][0.0] == [(0, 0)]
     assert visited[0.51][0.0] == [(2, 2)]
+    assert visited[0.51][0.08] == [(3, 3)]
     assert visited[0.58][0.0] == [(4, 4)]
     assert visited[0.58][1.0] == [(5, 5)]
 
@@ -241,7 +244,7 @@ def test_costs_on_a_grid_value_enter_one_step_later():
 def test_cognate_only_costs_on_a_grid_value():
     # two folds, no synonym axis: the 0.49 and the first 0.5 enter at 0.5 and 0.51
     costs = [[0.5], [0.49, 0.5]]
-    runs = [FixedRuns(g, c, [[]] * (len(c) + 1)) for g, c in enumerate(costs)]
+    runs = [FixedRuns(g, c, [[]] * len(c)) for g, c in enumerate(costs)]
     gold = PairSet(LANG_A, LANG_C, frozenset(p.pair for r in runs for p in r.pairs(None, None)))
     visited = check_breakpoints([runs[:1], runs[1:]], gold, False)
     assert {ct: list(row) for ct, row in visited.items()} == {
@@ -268,7 +271,7 @@ def test_sweep_skips_only_repeated_points():
                 cognates = [cost(rng, 1.2) for _ in range(rng.randint(0, 4))]
                 synonyms = [
                     [cost(rng, 1.0) for _ in range(rng.randint(0, 3 * with_synonyms))]
-                    for _ in range(len(cognates) + 1)
+                    for _ in range(len(cognates))
                 ]
                 fold.append(FixedRuns(f * 10 + g, cognates, synonyms))
             folds.append(fold)
@@ -289,10 +292,10 @@ def test_far_apart_costs_enter_on_their_global_rows(with_synonyms):
     # each transgraph's steps index a grid that reaches only its own
     # costliest cognate; full_sweep's grid runs past 12.0 for all of them
     costs = {
-        0: ([0.07], [[0.5], [0.2, 0.99]]),
-        1: ([0.01, 0.1 + 0.2], [[], [0.3], [0.07, 1.0]]),
-        2: ([0.5, 12.0, 0.3], [[0.57], [], [0.01], [0.58, 0.1]]),
-        3: ([0.02, 0.6], [[], [0.4], [0.5]]),
+        0: ([0.07], [[0.2, 0.99]]),
+        1: ([0.01, 0.1 + 0.2], [[0.3], [0.07, 1.0]]),
+        2: ([0.5, 12.0, 0.3], [[], [0.01], [0.58, 0.1]]),
+        3: ([0.02, 0.6], [[0.4], [0.5]]),
     }
     runs = [
         FixedRuns(g, cognates, synonyms if with_synonyms else [[]] * len(synonyms))
