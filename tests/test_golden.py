@@ -101,6 +101,13 @@ COMMANDS = {
     },
     "grid-search": (["grid-search", *DICTS, *GOLD, "--method", "2:S:H14"], []),
     "cv": (["cv", *DICTS, *GOLD, "--method", "2:S:H14", "--folds", "3"], []),
+    # C sweeps a one-to-one cognate run and M a many-to-many one, and
+    # neither has a synonym axis
+    **{
+        f"{command}-{m}": ([command, *DICTS, *GOLD, "--method", m, *flags], [])
+        for command, flags in (("grid-search", []), ("cv", ["--folds", "3"]))
+        for m in ("1:C:H1", "3:M:H1")
+    },
     "stats": (["stats", *DICTS], []),
     "baseline-cp": (["baseline", "cp", *DICTS, "-o", "cp.tsv"], ["cp.tsv"]),
     "baseline-ic": (["baseline", "ic", *DICTS, "-o", "ic.tsv"], ["ic.tsv"]),
