@@ -166,7 +166,7 @@ class _out:
 
 
 def _cmd_induce(args) -> int:
-    if args.synonym_threshold is not None and args.method.method != "S":
+    if args.synonym_threshold is not None and not args.method.synonyms:
         print("warning: --synonym-threshold has no effect without method S", file=sys.stderr)
     tset = _build_transgraphs(args)
     hp = HyperParams(args.cognate_threshold, args.synonym_threshold)
@@ -286,7 +286,6 @@ def _cmd_export_wcnf(args) -> int:
     from .encoding import write_cognate_wcnf  # only this command needs it
 
     tset = _build_transgraphs(args)
-    descriptor = args.method
     graphs = tset.graphs
     if args.transgraph_id is not None:
         tg_id = args.transgraph_id
@@ -300,13 +299,11 @@ def _cmd_export_wcnf(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     written = 0
     for g in graphs:
-        cyc = run_cycles(g, descriptor)
+        cyc = run_cycles(g, args.method)
         if not cyc.candidates:
             continue
         with _out(os.path.join(args.out_dir, f"tg{g.id}.wcnf")) as f:
-            write_cognate_wcnf(
-                cyc.graph, cyc.candidates, f, uniqueness=descriptor.method != "M"
-            )
+            write_cognate_wcnf(cyc.graph, cyc.candidates, f, uniqueness=args.method.one_to_one)
         written += 1
     if written < len(graphs):
         print(

@@ -1,8 +1,8 @@
 """Scoring against a gold standard, threshold search, cross-validation,
 and the paired comparison test.
 
-grid_search and cross_validate turn each transgraph in turn into tally steps (_graph_steps);
-one sweep (_sweep) of the 0.01 grid's breakpoints serves the search and every fold.
+grid_search and cross_validate tally each transgraph's run (pipeline.run_graph) in steps
+(_tally_steps); one sweep (_sweep) of the 0.01 grid's breakpoints serves search and folds.
 """
 
 from __future__ import annotations
@@ -10,13 +10,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import Counter
-from functools import partial
 from itertools import accumulate
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from . import pipeline
 from .lexicon import PairSet
-from .pipeline import InducedPair, MethodDescriptor
+from .pipeline import GraphRun, InducedPair, MethodDescriptor
 from .transgraph import Transgraph, TransgraphSet
 
 
@@ -64,36 +63,23 @@ Steps = list[tuple[int, Counter]]  # (row, (column, in gold) -> pairs kept there
 _SYNONYM_GRID = [i / 100 for i in range(101)]
 
 
-def _tally_steps(
-    cognates: tuple[InducedPair, ...], synonyms_after: Callable | None, gold: PairSet
-) -> Steps:
-    """At row 0 and each 0.01-grid row where the prefix of an unthresholded
-    cognate run grows, the pairs a run there keeps at synonym threshold 1.0,
-    by the column each enters at. synonyms_after(prefix) is the unthresholded
-    synonym run after a non-empty prefix (None: no synonym stage); row 0's
-    prefix is empty, as no cost is below 0, and a run anchored on no cognate
-    is empty. A grid reaching the costliest cognate gives every row its
-    global index.
+def _tally_steps(run: GraphRun, gold: PairSet) -> Steps:
+    """At row 0 and each 0.01-grid row where the prefix of the run's cognates
+    grows, the pairs a run there keeps at synonym threshold 1.0, by the
+    column each enters at. Row 0's prefix is empty, as no cost is below 0,
+    and a synonym run anchored on no cognate is empty, so it is not asked
+    for. A grid reaching the costliest cognate gives every row its global index.
     """
-    top = max((p.cost for p in cognates), default=0.0)
-    rows = _entries(cognates, [i / 100 for i in range(math.ceil(round(top * 100, 6)) + 2)])
+    top = max((p.cost for p in run.cognates), default=0.0)
+    rows = _entries(run.cognates, [i / 100 for i in range(math.ceil(round(top * 100, 6)) + 2)])
     steps = []
     for row in sorted({0, *rows}):
-        prefix = cognates[: bisect_right(rows, row)]  # what a run at this row keeps
-        synonyms = synonyms_after(prefix) if synonyms_after and prefix else ()
+        prefix = run.cognates[: bisect_right(rows, row)]  # what a run at this row keeps
+        synonyms = run.synonyms_after(prefix) if prefix else ()
         cols = [0] * len(prefix) + _entries(synonyms, _SYNONYM_GRID)
         hits = (p.pair in gold.pairs for p in prefix + synonyms)
         steps.append((row, Counter((c, hit) for c, hit in zip(cols, hits) if c <= 100)))
     return steps
-
-
-def _graph_steps(tg: Transgraph, descriptor: MethodDescriptor, gold: PairSet) -> Steps:
-    """_tally_steps of a transgraph's unthresholded stage runs."""
-    cycles = pipeline.run_cycles(tg, descriptor)
-    one_to_one = descriptor.method != "M"
-    cognates = pipeline.run_cognate_stage(cycles.graph, cycles.candidates, one_to_one=one_to_one)
-    synonyms_after = partial(pipeline._synonyms_after, cycles)
-    return _tally_steps(cognates, synonyms_after if descriptor.method == "S" else None, gold)
 
 
 def _sweep(
@@ -135,16 +121,14 @@ def grid_search(
 
     The metrics are those of a run at the chosen thresholds: one sweep over
     each transgraph's tally steps scores the grid's breakpoints (_sweep)
-    without a run per point, running the synonym stage of method S once per
-    distinct non-empty cognate prefix and dropping each graph once its steps
-    exist.
+    without a run per point, dropping each graph once its steps exist.
     """
     # fail on the inputs score rejects, before any work
     score(PairSet(tset.lang_a, tset.lang_c, frozenset()), gold, beta)
-    steps = [_graph_steps(g, descriptor, gold) for g in sorted(tset.graphs, key=lambda g: g.id)]
+    steps = [_tally_steps(pipeline.run_graph(g, descriptor), gold) for g in tset.graphs]
     points = (
         GridPoint(ct, st, _metrics(hits, size, len(gold.pairs), beta))
-        for ct, st, ((size, hits),) in _sweep([steps], descriptor.method == "S")
+        for ct, st, ((size, hits),) in _sweep([steps], descriptor.synonyms)
     )
     return max(points, key=lambda p: p.metrics.f_score)  # the first of equal maxima
 
@@ -222,10 +206,11 @@ def cross_validate(
                     f"fold {i} (test transgraphs {test_ids[0]}-{test_ids[-1]}):"
                     f" no gold pair in its {part} transgraphs"
                 )
-    folds = [[_graph_steps(by_id[t], descriptor, gold) for t in fold] for fold in plan.folds]
+    steps = {t: _tally_steps(pipeline.run_graph(g, descriptor), gold) for t, g in by_id.items()}
+    folds = [[steps[t] for t in fold] for fold in plan.folds]
     # per fold: the first training F-maximum and the test tallies there
     best: list[tuple[GridPoint, tuple[int, int]] | None] = [None] * k
-    for ct, st, tallies in _sweep(folds, descriptor.method == "S"):
+    for ct, st, tallies in _sweep(folds, descriptor.synonyms):
         size, hits = map(sum, zip(*tallies))
         for i, (test_size, test_hits) in enumerate(tallies):
             train = _metrics(hits - test_hits, size - test_size, gold_sizes[i, "training"], beta)

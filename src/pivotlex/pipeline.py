@@ -24,20 +24,17 @@ compared with.
 
 Stages pass data, not shared state. Each scoring round is one pure pass
 over the graph's edges, heuristics.generate_candidates, that enumerates
-the candidates and prices each as it goes; a growth round, one that is
-not the last and still has missing edges, needs only their coexistence
-and missing edges, so it leaves out the form-similarity (H4) term. The
-last round, or a fixpoint reached early, returns immutable, fully priced
-candidates. A stage returns the pairs it accepted, in order. The synonym
-stage depends only on the graph and the candidates behind the accepted
-cognates: each of those leaves all of its missing edges existing, and its
-pivots anchor the synonym search. A stage run at threshold t
-would make the same picks as an unthresholded one and stop at the first
-pick costing >= t: it keeps a prefix of the unthresholded acceptances,
-along which costs need not rise. So induce cuts (_cut) the unthresholded
-runs, the synonym one anchored on the kept cognates (_synonyms_after), and
-grid-search and cv tally each transgraph's runs at every threshold where its
-cognate prefix grows (evaluation._graph_steps), then drop the graph.
+the candidates and prices each as it goes (run_cycles). The last round, or
+a fixpoint reached early, returns immutable, fully priced candidates. A
+stage returns the pairs it accepted, in order. The synonym stage depends
+only on the graph and the candidates behind the accepted cognates: each of
+those leaves all of its missing edges existing, and its pivots anchor the
+synonym search. A stage run at threshold t would make the same picks as an
+unthresholded one and stop at the first pick costing >= t: it keeps a
+prefix of the unthresholded acceptances, along which costs need not rise.
+So induce, grid-search and cv each consume one unthresholded run per
+transgraph (run_graph): induce cuts it (_cut), and grid-search and cv tally
+it at every threshold where its cognate prefix grows (evaluation._tally_steps).
 
 With jobs > 1, induce_on_transgraphs maps _induce_one over the graphs
 through _fork_map. It deals the graphs, largest first, into a fixed number
@@ -51,12 +48,9 @@ or the exception it raised, to its own result pipe, and it ends with
 os._exit. Between its own chunks, this process reads whatever frames have
 arrived, so pickling overlaps induction, and then waits for the rest. The
 results are aggregated by id as in a serial run. Without os.fork (Windows)
-the graphs are induced serially. The garbage collector is frozen while the
-children run (gc.freeze), so neither this process nor a child walks, and
-so copies, the objects they share; a caller that has frozen objects itself
-keeps them frozen, and then nothing more is frozen. A fork copies only the
-calling thread, so a caller that forks children should have no other
-thread running.
+the graphs are induced serially. A child that ends without its results is
+a ChildProcessError. A fork copies only the calling thread, so a caller
+that forks children should have no other thread running.
 """
 
 from __future__ import annotations
@@ -122,6 +116,16 @@ class MethodDescriptor(NamedTuple):
 
     def __str__(self) -> str:
         return f"{self.cycle}:{self.method}:{self.heuristics.token}"
+
+    @property
+    def one_to_one(self) -> bool:
+        """Whether the cognate stage takes each word at most once (C and S)."""
+        return self.method != "M"
+
+    @property
+    def synonyms(self) -> bool:
+        """Whether a synonym stage follows the cognate stage (S)."""
+        return self.method == "S"
 
 
 def parse_method(text: str) -> MethodDescriptor:
@@ -355,31 +359,45 @@ def _cut(pairs: tuple[InducedPair, ...], threshold: float | None) -> tuple[Induc
     return pairs[:k]
 
 
-def _synonyms_after(cycles: CycleResult, prefix: Sequence[InducedPair]) -> tuple[InducedPair, ...]:
-    """The unthresholded synonym run anchored on the candidates behind a cognate prefix."""
-    kept = set(map(_pair, prefix))
-    anchors = [c for c in cycles.candidates if _pair(c) in kept]
-    return run_synonym_stage(cycles.graph, anchors)
+class GraphRun(NamedTuple):
+    """A transgraph's unthresholded run, which every inducing command consumes."""
+
+    cycles: CycleResult
+    cognates: tuple[InducedPair, ...]
+    synonyms: bool  # whether a synonym stage follows
+
+    def synonyms_after(self, prefix: Sequence[InducedPair]) -> tuple[InducedPair, ...]:
+        """The synonym run anchored on the candidates behind a cognate prefix; () without S."""
+        if not self.synonyms:
+            return ()
+        kept = set(map(_pair, prefix))
+        anchors = [c for c in self.cycles.candidates if _pair(c) in kept]
+        return run_synonym_stage(self.cycles.graph, anchors)
+
+
+def run_graph(tg: Transgraph, descriptor: MethodDescriptor) -> GraphRun:
+    """A transgraph's GraphRun; each stage is looked up in this module, so it can be traced."""
+    cycles = run_cycles(tg, descriptor)
+    cognates = run_cognate_stage(cycles.graph, cycles.candidates, one_to_one=descriptor.one_to_one)
+    return GraphRun(cycles, cognates, descriptor.synonyms)
 
 
 def _induce_one(
     tg: Transgraph, descriptor: MethodDescriptor, hp: HyperParams
 ) -> tuple[int, list[InducedPair], TransgraphReport]:
-    cycles = run_cycles(tg, descriptor)
-    full = run_cognate_stage(cycles.graph, cycles.candidates, one_to_one=descriptor.method != "M")
-    cognates = _cut(full, hp.cognate_threshold)
-    synonyms = _synonyms_after(cycles, cognates) if descriptor.method == "S" else ()
-    synonyms = _cut(synonyms, hp.synonym_threshold)
+    run = run_graph(tg, descriptor)
+    cognates = _cut(run.cognates, hp.cognate_threshold)
+    synonyms = _cut(run.synonyms_after(cognates), hp.synonym_threshold)
     # a stage not cut short that left candidates had them blocked by uniqueness
-    uncut = len(cognates) == len(full)
+    uncut = len(cognates) == len(run.cognates)
     report = TransgraphReport(
         transgraph_id=tg.id,
-        cycles_run=cycles.cycles_run,
-        fixpoint=cycles.fixpoint,
-        candidates=len(cycles.candidates),
+        cycles_run=run.cycles.cycles_run,
+        fixpoint=run.cycles.fixpoint,
+        candidates=len(run.cycles.candidates),
         cognate_pairs=len(cognates),
         synonym_pairs=len(synonyms),
-        cognate_unsat=uncut and len(cognates) < len(cycles.candidates),
+        cognate_unsat=uncut and len(cognates) < len(run.cycles.candidates),
     )
     return tg.id, list(cognates + synonyms), report
 
@@ -448,7 +466,7 @@ def _fork_map(fn: Callable[[Transgraph], object], graphs: Sequence[Transgraph], 
                 del children[fd]
                 os.close(fd)
                 if os.waitpid(pid, 0)[1] or buf:  # killed, or ended mid-frame
-                    raise RuntimeError(f"worker process {pid} exited without a result")
+                    raise ChildProcessError(f"worker process {pid} exited without a result")
 
     qr, qw = os.pipe()
     os.write(qw, bytes(range(n_chunks)))

@@ -45,14 +45,9 @@ class Runs:
 
 
 def stage_runs(tg: Transgraph, descriptor: MethodDescriptor) -> Runs:
-    """A transgraph's Runs, each stage called through pipeline's globals."""
-    cycles = pipeline.run_cycles(tg, descriptor)
-    cognates = pipeline.run_cognate_stage(
-        cycles.graph, cycles.candidates, one_to_one=descriptor.method != "M"
-    )
-    if descriptor.method != "S":
-        return Runs(cognates, lambda prefix: ())
-    return Runs(cognates, lambda prefix: pipeline._synonyms_after(cycles, prefix))
+    """A transgraph's Runs over pipeline.run_graph, each stage called through pipeline's globals."""
+    run = pipeline.run_graph(tg, descriptor)
+    return Runs(run.cognates, run.synonyms_after)
 
 
 def full_sweep(
@@ -96,7 +91,7 @@ def grid_points(
     """Every point of the 0.01 grid with the metrics of a run there: a one-fold full_sweep."""
     score(PairSet(tset.lang_a, tset.lang_c, frozenset()), gold, beta)
     runs = [stage_runs(g, descriptor) for g in sorted(tset.graphs, key=lambda g: g.id)]
-    for ct, st, ((size, hits),) in full_sweep([runs], gold, descriptor.method == "S"):
+    for ct, st, ((size, hits),) in full_sweep([runs], gold, descriptor.synonyms):
         yield GridPoint(ct, st, _metrics(hits, size, len(gold.pairs), beta))
 
 

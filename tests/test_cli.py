@@ -2,13 +2,15 @@ import json
 import multiprocessing
 import os
 import random
+import re
+import select
 import subprocess
 import sys
 
 import pytest
 
 import pivotlex
-from pivotlex import cli
+from pivotlex import cli, pipeline
 from pivotlex.cli import main
 from pivotlex.pipeline import induce_on_transgraphs
 
@@ -161,6 +163,38 @@ class TestInduce:
         assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
         # two transgraphs, so the run forked a child
         assert report.read_text(encoding="utf-8").count("transgraph ") == 2
+
+    def test_killed_worker_is_one_error_line(self, workdir, capsys, monkeypatch):
+        caller = os.getpid()
+        started_r, started_w = os.pipe()
+        induce_one = pipeline._induce_one
+
+        def dying(tg, descriptor, hp):
+            if os.getpid() != caller:
+                os.write(started_w, b".")
+                os._exit(1)
+            # so that the child takes the other graph before this process does
+            select.select([started_r], [], [], 10)
+            return induce_one(tg, descriptor, hp)
+
+        monkeypatch.setattr(pipeline, "_induce_one", dying)
+        try:
+            code = main(
+                [
+                    "induce", *dict_flags(workdir),
+                    "--method", "2:S:H14",
+                    "--jobs", "2",
+                    "-o", str(workdir / "out.tsv"),
+                ]
+            )
+        finally:
+            os.close(started_r)
+            os.close(started_w)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert re.fullmatch(r"error: worker process \d+ exited without a result\n", err)
+        with pytest.raises(ChildProcessError):  # no child is left unreaped
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "cpu_count"])
     def test_default_jobs_is_usable_cpus(self, workdir, monkeypatch, affinity):

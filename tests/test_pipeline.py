@@ -479,6 +479,31 @@ class TestStageCalls:
                 _induce_one(g, parse_method(f"2:{method}:H1"), hp)
                 assert calls() == (1, 1, synonym_runs)
 
+    @pytest.mark.parametrize("method", ["2:S:H14", "1:C:H1", "3:M:H1"])
+    def test_every_command_consumes_one_run_per_graph(self, monkeypatch, method):
+        runs = collections.Counter()  # run_graph calls by transgraph id
+        run_graph = pipeline.run_graph
+
+        def counted(tg, descriptor):
+            runs[tg.id] += 1
+            return run_graph(tg, descriptor)
+
+        monkeypatch.setattr(pipeline, "run_graph", counted)
+        desc = parse_method(method)
+        rng = random.Random(41)
+        for _ in range(4):
+            tset = random_components(rng, 4, 4)
+            gold = random_gold(rng, tset)  # every graph holds a gold pair
+            once = collections.Counter(g.id for g in tset.graphs)
+            for command in (
+                lambda: induce_on_transgraphs(tset, desc, jobs=1),
+                lambda: grid_search(tset, desc, gold),
+                lambda: cross_validate(tset, desc, gold, 2),
+            ):
+                runs.clear()
+                command()
+                assert runs == once
+
 
 class TestRunPipeline:
     def test_recovers_planted_mapping(self):
@@ -684,7 +709,7 @@ class TestRunPipeline:
 
         per_process(parent=lambda tg: time.sleep(0.002), child=killed)
         fds = open_fds()
-        with pytest.raises(RuntimeError, match=r"^worker process \d+ exited without a result$"):
+        with pytest.raises(ChildProcessError, match=r"^worker process \d+ exited without a result$"):
             induce_on_transgraphs(tset, parse_method("1:S:H14"), jobs=jobs)
         assert_closed_and_reaped(fds)
 

@@ -196,7 +196,7 @@ class FixedRuns(Runs):
         )
 
     def steps(self, gold, with_synonyms):
-        return _tally_steps(self.cognates, self.synonyms_after if with_synonyms else None, gold)
+        return _tally_steps(self if with_synonyms else Runs(self.cognates, lambda prefix: ()), gold)
 
 
 def check_breakpoints(folds, gold, with_synonyms):
